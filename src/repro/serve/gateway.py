@@ -1000,10 +1000,13 @@ class GatewayServer:
                     # The lock serializes dispatch across connections, so the
                     # deterministic core only ever sees one request at a time.
                     # The async variant keeps a durable core's journal I/O
-                    # off the event loop (executor offload inside).  One
-                    # fused call per read chunk: same responses in the same
-                    # order as the per-line loop this replaces, delivered
-                    # with one write+drain instead of one per line.
+                    # off the event loop (one group commit per chunk, in the
+                    # executor); holding the lock across that commit keeps
+                    # other connections from dispatching against state the
+                    # journal does not hold yet.  One fused call per read
+                    # chunk: same responses in the same order as the
+                    # per-line loop this replaces, delivered with one
+                    # write+drain instead of one per line.
                     async with self._lock:
                         routed = await self.gateway.handle_frames_async(
                             frames, origin=origin

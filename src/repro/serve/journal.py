@@ -25,12 +25,14 @@ Journal records are canonical NDJSON::
   original line did.
 
 Torn-tail semantics (see :func:`scan_journal`): a crash can leave a
-*prefix* of the final record on disk (records are written in one
-``write`` of ``line + "\\n"``).  Any unterminated or invalid tail is
-truncated — its operation was never acknowledged, so dropping it is
-safe and the idempotent client retries it.  Invalid records *before*
-the final line, or sequence gaps, mean real corruption and raise
-:class:`JournalError` instead of being silently skipped.
+*prefix* of the last write on disk (a group of records is written in
+one ``write`` of newline-terminated lines).  Whole records in that
+prefix replay; any unterminated or invalid tail is truncated — no
+response of the group was released before the write completed, so
+dropping it is safe and the idempotent client retries it.  Invalid
+records *before* the final line, or sequence gaps, mean real
+corruption and raise :class:`JournalError` instead of being silently
+skipped.
 
 Compaction: the journal grows forever unless checkpointed.
 :class:`DurableGateway` periodically writes a gateway-level snapshot
@@ -45,16 +47,17 @@ with ``seq`` at or below the snapshot's sequence number.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .gateway import AdmissionGateway, Routed
-from .protocol import OPS, ProtocolError, parse_request
+from .protocol import OPS, ProtocolError, error_response, parse_request
 
 __all__ = [
     "GATEWAY_SNAPSHOT_FORMAT",
@@ -84,6 +87,9 @@ JOURNALED_OPS = frozenset(OPS) - {"health"}
 #: Journaled operations between snapshot compactions, by default.
 DEFAULT_SNAPSHOT_EVERY = 256
 
+#: The op recorded for a flush of pending batches (see ``drain``).
+_DRAIN_RECORD = {"op": "drain", "synthetic": True}
+
 
 class JournalError(ValueError):
     """A journal that cannot be trusted: mid-file corruption or a
@@ -111,15 +117,31 @@ def fsync_dir(path: Union[str, Path]) -> None:
         os.close(fd)
 
 
+def _crc(body: str, seq: int) -> str:
+    """CRC-32 (8 hex chars) of ``{"op":<body>,"seq":<seq>}``.
+
+    ``body`` is the canonical encoding of the op.  Canonical JSON nests
+    verbatim, so this string is exactly the canonical encoding of
+    ``{"op": op, "seq": seq}`` with the op encoded only once.
+    """
+    payload = '{"op":%s,"seq":%d}' % (body, seq)
+    return "%08x" % (zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF)
+
+
 def record_crc(op: Dict[str, Any], seq: int) -> str:
     """CRC-32 (8 hex chars) over the canonical ``{"op":...,"seq":...}``."""
-    payload = _canonical({"op": op, "seq": seq}).encode("utf-8")
-    return "%08x" % (zlib.crc32(payload) & 0xFFFFFFFF)
+    return _crc(_canonical(op), seq)
 
 
 def encode_record(op: Dict[str, Any], seq: int) -> str:
-    """Render one journal record as its canonical NDJSON line."""
-    return _canonical({"crc": record_crc(op, seq), "op": op, "seq": seq})
+    """Render one journal record as its canonical NDJSON line.
+
+    Equal, byte for byte, to the canonical encoding of ``{"crc":
+    record_crc(op, seq), "op": op, "seq": seq}``; the op is encoded
+    once and shared by the CRC payload and the record.
+    """
+    body = _canonical(op)
+    return '{"crc":"%s","op":%s,"seq":%d}' % (_crc(body, seq), body, seq)
 
 
 def decode_record(line: str) -> Dict[str, Any]:
@@ -221,14 +243,20 @@ def scan_journal(path: Union[str, Path], truncate: bool = True) -> JournalScan:
 class Journal:
     """Append-only NDJSON write-ahead log.
 
-    Every append is flushed to the OS before returning — a process
-    crash (the ``kill -9`` model) loses at most the final, torn record.
-    ``fsync=True`` additionally survives whole-machine power loss at a
-    large throughput cost (see ``benchmarks/bench_serve.py``).
+    Records are written through an unbuffered file, so a completed
+    :meth:`commit` has handed its bytes to the OS — a process crash
+    (the ``kill -9`` model) loses at most a torn tail of records that
+    were never acknowledged.  ``fsync=True`` additionally survives
+    whole-machine power loss, at one ``fsync`` per commit.
+
+    Writing is two steps so a caller can group records: :meth:`record`
+    encodes an op under the next sequence number, and :meth:`commit`
+    writes any number of encoded records at once.  :meth:`append` is
+    both steps for a single op.
 
     Args:
         path: Journal file (created if missing, appended otherwise).
-        fsync: Force each record to stable storage.
+        fsync: Force each commit to stable storage.
         next_seq: Sequence number of the next record (recovery passes
             ``last replayed seq + 1``).
     """
@@ -241,23 +269,48 @@ class Journal:
         self.path = Path(path)
         self.fsync = fsync
         self._next_seq = next_seq
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = open(self.path, "ab", buffering=0)
 
     @property
     def last_seq(self) -> int:
-        """Sequence number of the most recently appended record."""
+        """Sequence number of the most recently encoded record."""
         return self._next_seq - 1
 
-    def _sync(self) -> None:
-        self._file.flush()
+    def _finish(self, data: bytes, written: Optional[int]) -> None:
+        """Check that a write landed whole, then fsync in fsync mode.
+
+        An unbuffered write to a regular file comes up short only when
+        the file can grow no further (a full disk, a size limit), so a
+        short write is a failed write: what did land is a torn tail.
+        """
+        if written != len(data):
+            raise OSError(
+                errno.EIO, f"short journal write: {written} of {len(data)} bytes"
+            )
         if self.fsync:
             os.fsync(self._file.fileno())
+
+    def record(self, op: Dict[str, Any]) -> str:
+        """Encode ``op`` under the next sequence number and consume it.
+
+        The record is not on disk until it is passed to :meth:`commit`.
+        """
+        line = encode_record(op, self._next_seq)
+        self._next_seq += 1
+        return line
+
+    def commit(self, records: Sequence[str]) -> None:
+        """Write encoded records, in order, with one ``write`` (and one
+        ``fsync`` in fsync mode)."""
+        if records:
+            data = ("\n".join(records) + "\n").encode("utf-8")
+            self._finish(data, self._file.write(data))
 
     def append(self, op: Dict[str, Any]) -> int:
         """Append one op record; return its sequence number."""
         seq = self._next_seq
-        self._file.write(encode_record(op, seq) + "\n")
-        self._sync()
+        data = (encode_record(op, seq) + "\n").encode("utf-8")
+        self._finish(data, self._file.write(data))
         self._next_seq += 1
         return seq
 
@@ -273,9 +326,8 @@ class Journal:
         if not 0.0 < keep < 1.0:
             raise ValueError(f"keep must be in (0, 1), got {keep}")
         line = encode_record(op, self._next_seq)
-        cut = max(1, int(len(line) * keep))
-        self._file.write(line[:cut])
-        self._sync()
+        data = line[: max(1, int(len(line) * keep))].encode("utf-8")
+        self._finish(data, self._file.write(data))
 
     def reset(self, next_seq: int) -> None:
         """Truncate the journal (after a snapshot made it redundant).
@@ -289,9 +341,9 @@ class Journal:
         if next_seq < 1:
             raise ValueError(f"next_seq must be >= 1, got {next_seq}")
         self._file.close()
-        self._file = open(self.path, "w", encoding="utf-8")
-        self._sync()
+        self._file = open(self.path, "wb", buffering=0)
         if self.fsync:
+            os.fsync(self._file.fileno())
             fsync_dir(self.path.parent)
         self._next_seq = next_seq
 
@@ -359,15 +411,33 @@ def write_gateway_snapshot(
         raise
 
 
+def _frame_lines(frames: Sequence[bytes]) -> Iterator[str]:
+    """The decoded, stripped, non-blank request lines of a framed chunk."""
+    for raw in frames:
+        line = raw.decode("utf-8", errors="replace").strip()
+        if line:
+            yield line
+
+
 class DurableGateway:
     """A write-ahead-journaled wrapper around :class:`AdmissionGateway`.
 
     Satisfies :class:`~repro.serve.gateway.GatewayLike`, so it drops
     into :class:`~repro.serve.gateway.GatewayServer` and
     :class:`~repro.serve.client.InProcessTransport` unchanged.  Each
-    state-mutating request line is journaled *before* the core
-    dispatches it; requests that cannot mutate controller state (bad
-    JSON, ``health``, idempotent-retry hits) bypass the journal.
+    state-mutating request line gets its journal record (and ``seq``)
+    *before* the core dispatches it; requests that cannot mutate
+    controller state (bad JSON, ``health``, idempotent-retry hits)
+    bypass the journal.
+
+    Every entry point is one *group-commit* lane over a chunk of lines
+    (``handle_line`` is a chunk of one): the lines are decided in
+    order, and the chunk's records are written together — one write,
+    one ``fsync`` in fsync mode — before any of its responses is
+    returned.  A response therefore never leaves ahead of its record,
+    which is the write-ahead contract recovery relies on.  If that
+    write fails, the core is ahead of the journal and the gateway
+    fails stop (see :attr:`failed`).
 
     Args:
         gateway: The wrapped core (usually freshly recovered).
@@ -395,6 +465,9 @@ class DurableGateway:
         self.snapshot_every = snapshot_every
         self.last_snapshot_seq = last_snapshot_seq
         self._ops_since_snapshot = 0
+        #: Why the gateway refuses every line (set when a journal write
+        #: fails; only a restart from disk clears it).
+        self.failed: Optional[str] = None
         # Surface durable progress in ``health`` responses so fleet
         # heartbeats can seq-stamp liveness: a journal sequence that
         # regresses between probes means the worker came back without
@@ -441,45 +514,110 @@ class DurableGateway:
             return None
         return request
 
+    # -- The group-commit lane ----------------------------------------
+
+    def _refusal(self, line: str) -> str:
+        try:
+            request: Optional[Dict[str, Any]] = parse_request(line)
+        except ProtocolError:
+            request = None
+        return error_response(request, "journal-failed", str(self.failed))
+
+    def _lane(
+        self, lines: Iterable[Optional[str]], origin: Any, routed: List[Routed]
+    ) -> Iterator[Tuple[List[str], bool]]:
+        """Decide ``lines`` in order; yield each group commit.
+
+        A ``None`` line stands for a synthetic drain.  Each mutating
+        line's record is encoded under the next ``seq`` *before* the
+        core dispatches it, and the records accumulate until the
+        generator yields ``(records, compact)``: the caller must write
+        them (and compact when asked) before resuming it, and must not
+        release any response in ``routed`` before the final commit.
+        Compaction falls due after exactly the lines where the per-line
+        write-ahead order compacts, so snapshots land on the same
+        sequence numbers whatever the chunking.
+        """
+        records: List[str] = []
+        for line in lines:
+            if self.failed is not None:
+                if line is not None:
+                    routed.append((origin, self._refusal(line)))
+                continue
+            if line is None:
+                if not any(pipeline.pending for pipeline in self.gateway.registry):
+                    continue
+                request: Optional[Dict[str, Any]] = _DRAIN_RECORD
+            else:
+                request = self._journaled_request(line)
+                if request is None:
+                    routed.extend(self.gateway.handle_line(line, origin))
+                    continue
+            records.append(self.journal.record(request))
+            try:
+                if line is None:
+                    routed.extend(self.gateway.drain())
+                else:
+                    routed.extend(self.gateway.handle_line(line, origin))
+            except BaseException:
+                # The op may have mutated state: its record (and those
+                # before it) must still reach the journal.
+                yield records, False
+                raise
+            self._ops_since_snapshot += 1
+            if self._compaction_due():
+                yield records, True
+                records = []
+        if records:
+            yield records, False
+
+    def _commit(self, records: List[str], compact: bool) -> None:
+        """Write one group of records, then compact if asked.
+
+        A failed write leaves the core ahead of the journal, so the
+        gateway fails stop: every later line is refused until a restart
+        rebuilds the state from disk.
+        """
+        try:
+            self.journal.commit(records)
+        except BaseException as exc:
+            self.failed = (
+                f"journal write failed ({exc!r}); restart the gateway from its "
+                "state directory"
+            )
+            raise
+        if compact:
+            self.compact()
+
+    def _run(self, lines: Iterable[Optional[str]], origin: Any = None) -> List[Routed]:
+        routed: List[Routed] = []
+        for records, compact in self._lane(lines, origin, routed):
+            self._commit(records, compact)
+        return routed
+
+    async def _run_async(
+        self, lines: Iterable[Optional[str]], origin: Any = None
+    ) -> List[Routed]:
+        routed: List[Routed] = []
+        loop = asyncio.get_running_loop()
+        for records, compact in self._lane(lines, origin, routed):
+            await loop.run_in_executor(None, self._commit, records, compact)
+        return routed
+
     def handle_line(self, line: str, origin: Any = None) -> List[Routed]:
         """Journal (when mutating) then dispatch one request line."""
-        request = self._journaled_request(line)
-        if request is None:
-            return self.gateway.handle_line(line, origin)
-        self.journal.append(request)
-        routed = self.gateway.handle_line(line, origin)
-        self._ops_since_snapshot += 1
-        self._maybe_compact()
-        return routed
+        return self._run([line], origin)
 
     def handle_frames(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Per-line dispatch of a framed chunk.
+        """Decide a framed chunk line by line; commit its records at once.
 
-        Durability is per request — every mutating line must reach the
-        journal before its effects exist — so the durable core cannot
-        take the fused chunk lane; it decodes and journals line by
-        line, exactly as the per-line transport did.
+        Byte-identical — responses, journal, snapshots — to calling
+        :meth:`handle_line` on each decoded, stripped, non-blank frame;
+        only the number of writes changes.
         """
-        routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(self.handle_line(line, origin))
-        return routed
-
-    async def handle_frames_async(
-        self, frames: Sequence[bytes], origin: Any = None
-    ) -> List[Routed]:
-        """Event-loop-safe :meth:`handle_frames` (journals line by
-        line via :meth:`handle_line_async`)."""
-        routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(await self.handle_line_async(line, origin))
-        return routed
+        return self._run(_frame_lines(frames), origin)
 
     def drain(self) -> List[Routed]:
         """Journal a synthetic drain record, then flush pending batches.
@@ -489,53 +627,38 @@ class DurableGateway:
         recovery replays it via :meth:`AdmissionGateway.drain` (no op
         counter) exactly as it ran here.
         """
-        if not any(pipeline.pending for pipeline in self.gateway.registry):
-            return []
-        self.journal.append({"op": "drain", "synthetic": True})
-        routed = self.gateway.drain()
-        self._ops_since_snapshot += 1
-        self._maybe_compact()
-        return routed
+        return self._run([None])
 
     async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]:
-        """Event-loop-safe :meth:`handle_line`: journal I/O (append,
-        flush, optional fsync) and compaction run in the default
-        executor so the loop keeps scheduling other coroutines.
+        """Event-loop-safe :meth:`handle_line`: the journal write (and
+        any compaction) runs in the default executor."""
+        return await self._run_async([line], origin)
 
-        Ordering is identical to the sync path — the journal append
-        *completes* before the core dispatches, and the server's
-        dispatch lock is held across the whole call, so durability and
-        bitwise determinism are unchanged.
+    async def handle_frames_async(
+        self, frames: Sequence[bytes], origin: Any = None
+    ) -> List[Routed]:
+        """Event-loop-safe :meth:`handle_frames`: each group commit is
+        one executor hop, and the lines are decided on the loop.
+
+        The server's dispatch lock must be held across this call *and*
+        the delivery of its responses: no other coroutine may dispatch
+        while a commit is in flight.
         """
-        request = self._journaled_request(line)
-        if request is None:
-            return self.gateway.handle_line(line, origin)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.journal.append, request)
-        routed = self.gateway.handle_line(line, origin)
-        self._ops_since_snapshot += 1
-        await loop.run_in_executor(None, self._maybe_compact)
-        return routed
+        return await self._run_async(_frame_lines(frames), origin)
 
     async def drain_async(self) -> List[Routed]:
-        """Event-loop-safe :meth:`drain`; same offloading as
-        :meth:`handle_line_async`."""
-        if not any(pipeline.pending for pipeline in self.gateway.registry):
-            return []
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, self.journal.append, {"op": "drain", "synthetic": True}
-        )
-        routed = self.gateway.drain()
-        self._ops_since_snapshot += 1
-        await loop.run_in_executor(None, self._maybe_compact)
-        return routed
+        """Event-loop-safe :meth:`drain` (one executor hop)."""
+        return await self._run_async([None])
 
     # -- Compaction ----------------------------------------------------
 
-    def _maybe_compact(self) -> None:
-        if self.snapshot_every and self._ops_since_snapshot >= self.snapshot_every:
-            self.compact()
+    def _compaction_due(self) -> bool:
+        """Whether :meth:`compact` would run now and succeed."""
+        return (
+            bool(self.snapshot_every)
+            and self._ops_since_snapshot >= self.snapshot_every
+            and not any(pipeline.pending for pipeline in self.gateway.registry)
+        )
 
     def compact(self) -> bool:
         """Checkpoint gateway state and reset the journal.

@@ -234,7 +234,8 @@ def recover(
     # gateway that crashes faster than ``snapshot_every`` fresh ops
     # arrive replays an ever-growing journal on every recovery.
     durable._ops_since_snapshot = report.replayed
-    durable._maybe_compact()
+    if durable._compaction_due():
+        durable.compact()
     return durable, report
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .client import GatewayClient, GatewayError
 from .gateway import GatewayLike, Routed
@@ -271,20 +271,44 @@ class ShardGateway:
             return [(origin, bounce)]
         return self.inner.handle_line(line, origin)
 
+    def _runs(self, frames: Sequence[bytes]) -> List[Union[List[bytes], str]]:
+        """Split a chunk, in line order, into maximal runs of frames
+        this shard serves and the bounces between them.
+
+        Bouncing is a pure function of the line and the installed map,
+        so deciding every bounce before the inner gateway sees the runs
+        changes nothing the per-line loop would show.
+        """
+        pieces: List[Union[List[bytes], str]] = []
+        run: List[bytes] = []
+        for raw in frames:
+            line = raw.decode("utf-8", errors="replace").strip()
+            if not line:
+                continue
+            bounce = self._bounce(line)
+            if bounce is None:
+                run.append(raw)
+                continue
+            if run:
+                pieces.append(run)
+                run = []
+            pieces.append(bounce)
+        if run:
+            pieces.append(run)
+        return pieces
+
     def handle_frames(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Per-line dispatch of a framed chunk.
-
-        Every line needs its own ownership check (one chunk can mix
-        pipelines), so the shard filter stays line-at-a-time; only the
-        unsharded inner core fuses chunks.
-        """
+        """Each run of owned frames goes to one inner chunk call (one
+        group commit on a durable inner gateway); bounces are answered
+        in line order between the runs."""
         routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(self.handle_line(line, origin))
+        for piece in self._runs(frames):
+            if isinstance(piece, str):
+                routed.append((origin, piece))
+            else:
+                routed.extend(self.inner.handle_frames(piece, origin))
         return routed
 
     def drain(self) -> List[Routed]:
@@ -299,12 +323,13 @@ class ShardGateway:
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Event-loop-safe :meth:`handle_frames` (per-line, see there)."""
+        """Event-loop-safe :meth:`handle_frames`."""
         routed: List[Routed] = []
-        for raw in frames:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                routed.extend(await self.handle_line_async(line, origin))
+        for piece in self._runs(frames):
+            if isinstance(piece, str):
+                routed.append((origin, piece))
+            else:
+                routed.extend(await self.inner.handle_frames_async(piece, origin))
         return routed
 
     async def drain_async(self) -> List[Routed]:

@@ -1,6 +1,11 @@
-"""Write-ahead journal: record codec, tail repair, and compaction."""
+"""Write-ahead journal: record codec, tail repair, compaction, and the
+group-commit lane."""
 
+import asyncio
+import errno
 import json
+import random
+import zlib
 
 import pytest
 
@@ -17,6 +22,7 @@ from repro.serve.journal import (
     scan_journal,
 )
 from repro.serve.protocol import OPS
+from repro.serve.recovery import recover, registry_fingerprint
 
 
 def _op(n=1):
@@ -391,14 +397,12 @@ class TestRenameDurability:
 
 
 class TestDurableHandleFrames:
-    """The durable wrapper's chunk ingest is the per-line loop, exactly.
+    """The durable wrapper's chunk ingest matches the per-line loop.
 
-    Durability is per request — each mutating line must reach the
-    journal before its effects exist — so ``DurableGateway`` must not
-    take the fused chunk lane.  Two identical journals fed the same
-    frames, one through ``handle_frames`` and one through the decode/
-    strip/``handle_line`` loop, must produce identical responses AND
-    byte-identical journals.
+    Two identical journals fed the same frames, one through
+    ``handle_frames`` (one group commit) and one through the decode/
+    strip/``handle_line`` loop (one commit per line), must produce
+    identical responses AND byte-identical journals.
     """
 
     FRAMES = [
@@ -431,3 +435,372 @@ class TestDurableHandleFrames:
             (tmp_path / "a" / "journal.ndjson").read_bytes()
             == (tmp_path / "b" / "journal.ndjson").read_bytes()
         )
+
+
+# ----------------------------------------------------------------------
+# Group commit: the chunk lane against the per-line write-ahead lane
+# ----------------------------------------------------------------------
+
+
+def _nested_record(op, seq):
+    """``encode_record`` as the nested canonical form spells it out."""
+    def canonical(doc):
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+
+    payload = canonical({"op": op, "seq": seq}).encode("utf-8")
+    crc = "%08x" % (zlib.crc32(payload) & 0xFFFFFFFF)
+    return crc, canonical({"crc": crc, "op": op, "seq": seq})
+
+
+def _recorded_bookkeeping(seed=3, requests=60):
+    """Request lines of the closed-loop webserver scenario, in process:
+    one ``register``, then per admit ~3 ``depart`` and ~2 ``idle``
+    lines, a mid-run ``snapshot`` and a closing ``stats``."""
+    from repro.apps.webserver import TIERS
+    from repro.serve.client import (
+        GatewayClient,
+        GatewayControllerProxy,
+        InProcessTransport,
+    )
+    from repro.serve.loadgen import PIPELINE_NAME, SCENARIOS, build_trace
+    from repro.sim.pipeline import PipelineSimulation
+
+    class Recording(InProcessTransport):
+        def __init__(self):
+            super().__init__()
+            self.lines = []
+
+        def submit(self, line):
+            self.lines.append(line)
+            return super().submit(line)
+
+    scenario = next(s for s in SCENARIOS if s.name == "webserver")
+    trace, span, horizon = build_trace(scenario, seed, requests)
+    transport = Recording()
+    client = GatewayClient(transport)
+    client.register(PIPELINE_NAME, {"num_stages": len(TIERS)})
+    proxy = GatewayControllerProxy(client, PIPELINE_NAME, num_stages=len(TIERS))
+    sim = PipelineSimulation(
+        num_stages=len(TIERS), controller=proxy, max_admission_wait=0.0
+    )
+    sim.sim.at(round(span * 0.5, 6),
+               lambda: client.call("snapshot", pipeline=PIPELINE_NAME))
+    sim.offer_stream(iter(trace))
+    sim.run(horizon, warmup=0.0)
+    client.stats(PIPELINE_NAME)
+    return transport.lines
+
+
+def _mixed_stream(seed=11):
+    """The recorded bookkeeping stream with everything the lanes must
+    agree on mixed in: rid-tagged admits on a ``max_batch`` pipeline
+    (pending batches defer compaction), verbatim retries of recent rid
+    lines (dedup hits, or ``duplicate-request`` while still queued),
+    ``health`` probes, bad JSON and blank frames."""
+    rng = random.Random(seed)
+    lines = [json.dumps({"id": -1, "op": "register", "pipeline": "batch",
+                         "policy": {"num_stages": 2, "max_batch": 4}})]
+    recent = []
+    for n, line in enumerate(_recorded_bookkeeping()):
+        lines.append(line)
+        roll = rng.random()
+        if roll < 0.15:
+            arrival = 0.01 * n
+            admit = json.dumps({
+                "id": 10_000 + n, "rid": f"b{n}", "op": "admit",
+                "pipeline": "batch",
+                "task": {"task_id": n, "arrival": arrival,
+                         "deadline": arrival + 1.0, "costs": [0.001, 0.001]},
+            })
+            lines.append(admit)
+            recent = (recent + [admit])[-8:]
+        elif roll < 0.22 and recent:
+            lines.append(rng.choice(recent))
+        elif roll < 0.27:
+            lines.append(json.dumps({"id": 20_000 + n, "op": "health"}))
+        elif roll < 0.30:
+            lines.append("{not json")
+        elif roll < 0.33:
+            lines.append(rng.choice(["", "   "]))
+    return lines
+
+
+def _per_line_lane(durable, lines, origin="c", drain=True):
+    """The per-line write-ahead lane the group commit replaced: append
+    each mutating line's record, dispatch it, then attempt compaction
+    after every journaled line; finally drain.  Returns the responses
+    and how many compaction attempts a pending batch skipped."""
+    routed, skipped = [], 0
+
+    def journaled(request, dispatch):
+        nonlocal skipped
+        durable.journal.append(request)
+        routed.extend(dispatch())
+        durable._ops_since_snapshot += 1
+        every = durable.snapshot_every
+        if every and durable._ops_since_snapshot >= every:
+            skipped += not durable.compact()
+
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        request = durable._journaled_request(line)
+        if request is None:
+            routed.extend(durable.gateway.handle_line(line, origin))
+        else:
+            journaled(request, lambda: durable.gateway.handle_line(line, origin))
+    if drain and any(pipeline.pending for pipeline in durable.gateway.registry):
+        journaled({"op": "drain", "synthetic": True}, durable.gateway.drain)
+    return routed, skipped
+
+
+def _chunk_lane(durable, lines, size, use_async, origin="c"):
+    frames = [line.encode("utf-8") for line in lines]
+    chunks = [frames[i:i + size] for i in range(0, len(frames), size)]
+    if not use_async:
+        routed = []
+        for chunk in chunks:
+            routed.extend(durable.handle_frames(chunk, origin))
+        return routed + durable.drain()
+
+    async def run():
+        routed = []
+        for chunk in chunks:
+            routed.extend(await durable.handle_frames_async(chunk, origin))
+        return routed + await durable.drain_async()
+
+    return asyncio.run(run())
+
+
+def _state_files(state_dir):
+    snapshot = state_dir / "snapshot.json"
+    return (
+        (state_dir / "journal.ndjson").read_bytes(),
+        snapshot.read_bytes() if snapshot.exists() else None,
+    )
+
+
+def _recovered_fingerprint(state_dir):
+    recovered, _report = recover(state_dir, snapshot_every=0)
+    try:
+        return registry_fingerprint(recovered)
+    finally:
+        recovered.close()
+
+
+class TestEncodeRecordOnce:
+    """``encode_record`` encodes the op once and shares it between the
+    CRC payload and the record; the bytes must equal the nested form."""
+
+    OPS = [
+        {"id": 1, "op": "register", "pipeline": "café ☃ \U0001f600",
+         "policy": {"num_stages": 2, "name": "üß中"}},
+        {"id": 2, "op": "expire", "pipeline": "web", "now": 5e-324},
+        {"id": 3, "op": "expire", "pipeline": "web",
+         "now": 2.2250738585072009e-308},
+        {"id": 4, "op": "report", "pipeline": "web",
+         "deep": {"z": {"b": [1, {"y": None, "a": -0.0}], "a": True},
+                  "a": [[], {}, "\\\"\n\t"]}},
+        {"op": "drain", "synthetic": True},
+    ]
+
+    @pytest.mark.parametrize("seq", [1, 2, 255, 65_537, 10**9, 10**12])
+    def test_matches_nested_form(self, seq):
+        for op in self.OPS:
+            crc, line = _nested_record(op, seq)
+            assert encode_record(op, seq) == line
+            assert record_crc(op, seq) == crc
+            assert decode_record(line)["op"] == op
+
+    def test_matches_nested_form_on_recorded_bookkeeping(self):
+        from repro.serve.protocol import parse_request
+
+        lines = _recorded_bookkeeping()
+        assert len(lines) > 300
+        for seq, line in enumerate(lines, start=1):
+            op = parse_request(line)
+            for at in (seq, seq + 10**12 - len(lines)):
+                assert encode_record(op, at) == _nested_record(op, at)[1]
+
+
+class TestGroupCommitDifferential:
+    """The chunk lane against the per-line write-ahead lane: equal
+    responses, journal bytes, snapshot bytes and recovered state at
+    every chunk size and compaction period."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return _mixed_stream()
+
+    @pytest.fixture(scope="class")
+    def oracle(self, stream, tmp_path_factory):
+        runs = {}
+        for every in (0, 3, 16, 256):
+            state_dir = tmp_path_factory.mktemp(f"per-line-{every}")
+            durable, _ = recover(state_dir, snapshot_every=every)
+            routed, skipped = _per_line_lane(durable, stream)
+            hits = durable.gateway.dedup_hits
+            durable.close()
+            runs[every] = (routed, (skipped, hits), _state_files(state_dir),
+                           _recovered_fingerprint(state_dir))
+        return runs
+
+    def test_stream_exercises_every_case(self, stream, oracle):
+        routed = [json.loads(response) for _origin, response in oracle[3][0]]
+        assert {"bad-json", "duplicate-request"} <= {
+            doc.get("error") for doc in routed
+        }
+        assert any(doc.get("op") == "health" for doc in routed)
+        assert "" in stream and "   " in stream
+        skipped, dedup_hits = oracle[3][1]
+        assert skipped > 0  # compaction deferred by a pending batch
+        assert dedup_hits > 0
+        assert oracle[256][2][1] is not None  # a snapshot at the default period
+
+    @pytest.mark.parametrize("use_async", [False, True], ids=["sync", "async"])
+    @pytest.mark.parametrize("every", [0, 3, 16, 256])
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 500])
+    def test_matches_per_line_lane(
+        self, stream, oracle, tmp_path, size, every, use_async
+    ):
+        durable, _ = recover(tmp_path, snapshot_every=every)
+        routed = _chunk_lane(durable, stream, size, use_async)
+        durable.close()
+        want_routed, _skipped, want_files, want_fingerprint = oracle[every]
+        assert routed == want_routed
+        assert _state_files(tmp_path) == want_files
+        assert _recovered_fingerprint(tmp_path) == want_fingerprint
+
+    def test_handle_line_loop_is_the_per_line_lane(self, stream, oracle, tmp_path):
+        durable, _ = recover(tmp_path, snapshot_every=16)
+        routed = []
+        for line in stream:
+            if line.strip():
+                routed.extend(durable.handle_line(line.strip(), "c"))
+        routed.extend(durable.drain())
+        durable.close()
+        assert routed == oracle[16][0]
+        assert _state_files(tmp_path) == oracle[16][2]
+
+    def test_one_write_per_chunk(self, stream, tmp_path, monkeypatch):
+        durable, _ = recover(tmp_path, snapshot_every=0)
+        commits = []
+        real_commit = durable.journal.commit
+        monkeypatch.setattr(
+            durable.journal, "commit",
+            lambda records: (commits.append(len(records)), real_commit(records)),
+        )
+        frames = [line.encode() for line in stream[:200]]
+        durable.handle_frames(frames)
+        durable.close()
+        assert len(commits) == 1 and commits[0] > 100
+
+
+class _ShortThenFail:
+    """A journal file whose next write lands a prefix, then raises (or,
+    like ``write(2)`` on a filling disk, reports the short count)."""
+
+    def __init__(self, real, keep, short):
+        self.real = real
+        self.keep = keep
+        self.short = short
+
+    def write(self, data):
+        written = self.real.write(bytes(data[: self.keep]))
+        if self.short:
+            return written
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self):
+        return self.real.fileno()
+
+    @property
+    def closed(self):
+        return self.real.closed
+
+    def close(self):
+        self.real.close()
+
+
+class TestFailStop:
+    """A failed group commit leaves the core ahead of the journal: no
+    response of the chunk is returned, every later line is refused,
+    and recovery rebuilds the state at the last durable record."""
+
+    @pytest.mark.parametrize("short", [False, True], ids=["raises", "short"])
+    @pytest.mark.parametrize("use_async", [False, True], ids=["sync", "async"])
+    def test_failed_write_stops_the_gateway(self, tmp_path, use_async, short):
+        stream = [line for line in _mixed_stream() if line.strip()]
+        first, second, later = stream[:150], stream[150:300], stream[300:340]
+        state_dir = tmp_path / "chunked"
+        durable, _ = recover(state_dir, snapshot_every=0)
+        ingest = (
+            (lambda frames: asyncio.run(durable.handle_frames_async(frames, "c")))
+            if use_async else (lambda frames: durable.handle_frames(frames, "c"))
+        )
+        assert ingest([line.encode() for line in first])
+        committed = durable.journal.last_seq
+        durable.journal._file = _ShortThenFail(
+            durable.journal._file, keep=300, short=short
+        )
+        with pytest.raises(OSError):
+            ingest([line.encode() for line in second])
+        assert durable.failed is not None
+        encoded = durable.journal.last_seq
+        durable.journal._file = durable.journal._file.real
+        size = (state_dir / "journal.ndjson").stat().st_size
+
+        refused = ingest([line.encode() for line in later])
+        assert len(refused) == len(later)
+        for (origin, response), line in zip(refused, later):
+            doc = json.loads(response)
+            assert origin == "c"
+            assert doc["ok"] is False and doc["error"] == "journal-failed"
+            try:
+                assert doc["id"] == json.loads(line).get("id")
+            except ValueError:
+                assert doc["id"] is None
+        assert durable.drain() == []
+        assert (state_dir / "journal.ndjson").stat().st_size == size
+        durable.close()
+
+        # Recovery succeeds (no seq gap) at the last whole record, and
+        # equals the per-line lane stopped right after that record.
+        records = scan_journal(state_dir / "journal.ndjson").records
+        last = records[-1]["seq"]
+        assert [r["seq"] for r in records] == list(range(1, last + 1))
+        oracle_dir = tmp_path / "per-line"
+        oracle, _ = recover(oracle_dir, snapshot_every=0)
+        for n in range(len(stream)):
+            if oracle.journal.last_seq == last:
+                break
+            _per_line_lane(oracle, [stream[n]], drain=False)
+        assert oracle.journal.last_seq == last
+        oracle.close()
+        assert _recovered_fingerprint(state_dir) == _recovered_fingerprint(oracle_dir)
+        # The write landed part of the chunk, not all of it.
+        assert committed < last < encoded
+
+    def test_dispatch_failure_still_commits_dispatched_records(
+        self, tmp_path, monkeypatch
+    ):
+        durable, _ = recover(tmp_path, snapshot_every=0)
+        lines = _recorded_bookkeeping()[:20]
+        real = durable.gateway.handle_line
+        calls = []
+
+        def flaky(line, origin=None):
+            calls.append(line)
+            if len(calls) == 10:
+                raise RuntimeError("dispatch bug")
+            return real(line, origin)
+
+        monkeypatch.setattr(durable.gateway, "handle_line", flaky)
+        with pytest.raises(RuntimeError):
+            durable.handle_frames([line.encode() for line in lines])
+        assert durable.failed is None
+        durable.close()
+        records = scan_journal(tmp_path / "journal.ndjson").records
+        assert [r["seq"] for r in records] == list(range(1, 11))

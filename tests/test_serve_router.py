@@ -223,12 +223,13 @@ class TestWrongShardResponse:
 
 
 class TestShardHandleFrames:
-    """The shard wrapper's chunk ingest is the per-line loop, exactly.
+    """The shard wrapper's chunk ingest matches the per-line loop.
 
-    One chunk can mix owned and foreign pipelines, so every line needs
-    its own ownership check — only the unsharded inner core fuses
-    chunks.  Responses (including bounces) must match the decode/
-    strip/``handle_line`` loop line for line.
+    One chunk can mix owned and foreign pipelines: every line gets its
+    own ownership check, each maximal run of owned lines goes to one
+    inner chunk call, and the bounces between runs keep their place.
+    Responses (including bounces) must match the decode/strip/
+    ``handle_line`` loop line for line.
     """
 
     def test_matches_per_line_loop(self):
@@ -252,3 +253,98 @@ class TestShardHandleFrames:
                 mirrored_routed.extend(mirrored.handle_line(line, "c"))
         assert fused_routed == mirrored_routed
         assert fused.bounced == mirrored.bounced == 1
+
+    @staticmethod
+    def _durable_stream():
+        lines = [
+            encode({"id": 1, "op": "register", "pipeline": "owned",
+                    "policy": {"num_stages": 2, "max_batch": 2}}),
+            _register_line("foreign", 2),
+        ]
+        for n in range(3, 40):
+            name = "foreign" if n % 3 == 0 else "owned"
+            if n % 5 == 0:
+                lines.append(encode({"id": n, "op": "health"}))
+            elif n % 7 == 0:
+                lines.append(encode({"id": n, "rid": f"e{n}", "op": "expire",
+                                     "pipeline": name, "now": 0.01 * n}))
+            else:
+                lines.append(encode({
+                    "id": n, "rid": f"a{n}", "op": "admit", "pipeline": name,
+                    "task": {"task_id": n, "arrival": 0.01 * n,
+                             "deadline": 0.01 * n + 1.0, "costs": [0.01, 0.01]},
+                }))
+            if n % 11 == 0:
+                lines += ["", lines[-1], "{nope"]  # blank, retry, bad JSON
+        return lines + [encode({"id": 99, "op": "drain"})]
+
+    @pytest.mark.parametrize("use_async", [False, True], ids=["sync", "async"])
+    @pytest.mark.parametrize("size", [1, 4, 64])
+    def test_durable_runs_match_per_line_loop(self, tmp_path, size, use_async):
+        import asyncio
+
+        shard_map = ShardMap(shards=2, assignments=(("owned", 0), ("foreign", 1)))
+        lines = self._durable_stream()
+
+        def shard_gateway(name):
+            journal = Journal(tmp_path / f"{name}.ndjson")
+            durable = DurableGateway(
+                AdmissionGateway(), journal, tmp_path / f"{name}.json",
+                snapshot_every=5,
+            )
+            return ShardGateway(durable, 0, shard_map), durable
+
+        mirrored, mirrored_durable = shard_gateway("per-line")
+        want = []
+        for line in lines:
+            if line.strip():
+                want.extend(mirrored.handle_line(line.strip(), "c"))
+        mirrored_durable.close()
+
+        chunked, chunked_durable = shard_gateway("chunked")
+        inner_calls = []
+        frames = [line.encode() for line in lines]
+        chunks = [frames[i:i + size] for i in range(0, len(frames), size)]
+        if use_async:
+            real = chunked_durable.handle_frames_async
+
+            async def counted(piece, origin=None):
+                inner_calls.append(len(piece))
+                return await real(piece, origin)
+
+            chunked_durable.handle_frames_async = counted
+
+            async def run():
+                got = []
+                for chunk in chunks:
+                    got.extend(await chunked.handle_frames_async(chunk, "c"))
+                return got
+
+            got = asyncio.run(run())
+        else:
+            real_sync = chunked_durable.handle_frames
+
+            def counted_sync(piece, origin=None):
+                inner_calls.append(len(piece))
+                return real_sync(piece, origin)
+
+            chunked_durable.handle_frames = counted_sync
+            got = []
+            for chunk in chunks:
+                got.extend(chunked.handle_frames(chunk, "c"))
+        chunked_durable.close()
+
+        assert got == want
+        assert chunked.bounced == mirrored.bounced > 5
+        for suffix in (".ndjson", ".json"):
+            assert (tmp_path / f"chunked{suffix}").read_bytes() == (
+                tmp_path / f"per-line{suffix}"
+            ).read_bytes()
+        # One inner call per maximal run of owned frames, not per line.
+        owned = sum(
+            1 for line in lines
+            if line.strip() and '"pipeline":"foreign"' not in line
+        )
+        assert sum(inner_calls) == owned
+        if size == 64:
+            assert len(inner_calls) < owned // 2
