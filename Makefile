@@ -30,9 +30,9 @@ chaos:
 # closed-loop simulation with zero deadline misses on both sides.
 serve-smoke:
 	$(PYTHON) -m repro.serve.loadgen --scenario webserver --seed 0 --requests 1000 --selftest
-	$(PYTHON) -m repro.serve.loadgen --chaos-crash --cycles 24 --seed 0 --selftest
-	$(PYTHON) -m repro.serve.loadgen --chaos-fleet --cycles 12 --workers 3 --seed 0 --selftest
-	$(PYTHON) -m repro.serve.loadgen --chaos-degradation --cycles 12 --seed 0 --selftest
+	$(PYTHON) -m repro.serve.loadgen --chaos crash --cycles 24 --seed 0 --selftest
+	$(PYTHON) -m repro.serve.loadgen --chaos fleet --cycles 12 --workers 3 --seed 0 --selftest
+	$(PYTHON) -m repro.serve.loadgen --chaos degradation --cycles 12 --seed 0 --selftest
 	$(PYTHON) -m repro.serve.loadgen --compare-blocking --seed 0 --selftest
 
 # Consolidated benchmark run: paper-artifact and serving benchmarks in

@@ -17,14 +17,14 @@ crash-recoverable — :func:`~repro.serve.recovery.recover` rebuilds a
 :class:`~repro.serve.client.RetryingGatewayClient` pairs
 client-generated request ids with the gateway's dedup window for
 exactly-once admission across timeouts and reconnects, and
-``python -m repro.serve.loadgen --chaos-crash`` proves zero
+``python -m repro.serve.loadgen --chaos crash`` proves zero
 lost/duplicated admissions across repeated kill/recover cycles.
 
 Fleet (PR 7): a :class:`~repro.serve.fleet.FleetSupervisor` partitions
 the registry across N workers via a versioned
 :class:`~repro.serve.router.ShardMap`, monitors them with seq-stamped
 heartbeats, and restarts dead workers through the recovery path;
-``python -m repro.serve.loadgen --chaos-fleet`` proves zero
+``python -m repro.serve.loadgen --chaos fleet`` proves zero
 lost/duplicated admissions and bitwise-identical recovered registries
 under whole-worker SIGKILL plus torn-frame / partial-write /
 slow-client / connection-storm network faults.
@@ -35,9 +35,13 @@ capacity faults into journaled ``rescale_stage_capacity`` transactions
 — authoritative ``set_capacity`` wire ops apply immediately, noisy
 ``report`` observations pass through hysteresis first — and repairs an
 infeasible region by sacrificing admitted tasks in brownout order;
-``python -m repro.serve.loadgen --chaos-degradation`` proves zero
+``python -m repro.serve.loadgen --chaos degradation`` proves zero
 lost/duplicated admissions, zero post-repair region violations, and
 bitwise recovery under capacity waves crossed with crash kinds.
+
+All three gates are profiles of one shadow-lockstep driver,
+:func:`~repro.serve.chaos.run_chaos`, judged by
+:func:`~repro.serve.chaos.chaos_gate_failures`.
 
 See DESIGN.md §9 for the mapping from protocol operations to the
 paper's Section-4 bookkeeping rules, §10 for the durability contract,
@@ -46,6 +50,7 @@ model.
 """
 
 from .batching import AdmissionBatcher
+from .chaos import CHAOS_PROFILES, chaos_gate_failures, run_chaos
 from .client import (
     GatewayClient,
     GatewayControllerProxy,
@@ -57,7 +62,6 @@ from .client import (
     RetryPolicy,
     TcpTransport,
 )
-from .degchaos import degradation_chaos_gate_failures, run_degradation_chaos
 from .degradation import (
     OBSERVATION_KINDS,
     SACRIFICE_LEDGER_LIMIT,
@@ -74,7 +78,6 @@ from .fleet import (
     ProcessWorker,
     WorkerUnavailable,
 )
-from .fleetchaos import fleet_chaos_gate_failures, run_fleet_chaos
 from .gateway import AdmissionGateway, GatewayLike, GatewayServer
 from .journal import (
     GATEWAY_SNAPSHOT_FORMAT,
@@ -91,7 +94,6 @@ from .recovery import (
     RecoveryReport,
     recover,
     registry_fingerprint,
-    run_crash_chaos,
 )
 from .registry import PipelinePolicy, PipelineRegistry, ServedPipeline
 from .snapshot import (
@@ -106,6 +108,7 @@ from .snapshot import (
 __all__ = [
     "AdmissionBatcher",
     "AdmissionGateway",
+    "CHAOS_PROFILES",
     "DegradationManager",
     "DurableGateway",
     "FleetError",
@@ -144,18 +147,15 @@ __all__ = [
     "ShardRouter",
     "TcpTransport",
     "WorkerUnavailable",
+    "chaos_gate_failures",
     "controller_snapshot",
-    "degradation_chaos_gate_failures",
-    "fleet_chaos_gate_failures",
     "fsync_dir",
     "hysteresis_from_wire",
     "hysteresis_to_wire",
     "recover",
     "registry_fingerprint",
     "restore_controller",
-    "run_crash_chaos",
-    "run_degradation_chaos",
-    "run_fleet_chaos",
+    "run_chaos",
     "scan_journal",
     "verify_restored",
 ]

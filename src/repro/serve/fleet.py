@@ -31,8 +31,8 @@ Two worker flavours share the supervisor logic:
     :class:`~repro.serve.router.ShardGateway`, living in this process
     with its own state directory.  "SIGKILL" is modelled exactly as
     the PR-4 crash kinds do — close without drain, optionally tearing
-    or pre-acking the in-flight journal record — which keeps the fleet
-    chaos gate (:mod:`repro.serve.fleetchaos`) fully deterministic.
+    or pre-acking the in-flight journal record — which keeps the chaos
+    gates (:mod:`repro.serve.chaos`) fully deterministic.
 
 :class:`ProcessWorker` / :class:`ProcessFleet`
     Real ``python -m repro.serve`` subprocesses, each bound to its own
@@ -180,8 +180,8 @@ class InProcessWorker:
 
     Owns a state directory (snapshot + journal) and wraps the durable
     gateway in a :class:`ShardGateway` so misrouted requests bounce
-    before touching the journal.  Crash injection mirrors the PR-4
-    crash kinds so the fleet chaos harness stays deterministic:
+    before touching the journal.  Crash injection is the only crash
+    path of the chaos gates (:mod:`repro.serve.chaos`):
 
     ``torn``
         kill -9 mid-journal-write: a prefix of the in-flight record
@@ -258,7 +258,7 @@ class InProcessWorker:
         kind: str = "torn",
         doc: Optional[Dict[str, Any]] = None,
         keep: float = 0.5,
-    ) -> None:
+    ) -> List[str]:
         """Whole-worker SIGKILL, optionally mid-operation.
 
         With ``doc`` the crash lands *on* that operation according to
@@ -266,21 +266,27 @@ class InProcessWorker:
         simply dies between operations.  Either way nothing is drained
         or flushed — pending batches die with the process and must come
         back via recovery replay.
+
+        Returns:
+            The response lines the crash swallowed (``after_apply``
+            only): what the client would have read had it survived.
         """
         if self.durable is None:
             raise WorkerUnavailable(f"worker {self.shard} is already down")
+        lost: List[str] = []
         if doc is not None:
             if kind == "torn":
                 self.durable.journal.append_torn(doc, keep=keep)
             elif kind == "after_journal":
                 self.durable.journal.append(doc)
             elif kind == "after_apply":
-                self.durable.handle_line(encode(doc))
+                lost = self.handle_line(encode(doc))
             else:
                 raise ValueError(f"unknown crash kind {kind!r}")
         self.durable.close()
         self.durable = None
         self.gateway = None
+        return lost
 
     def close(self) -> None:
         if self.durable is not None:
