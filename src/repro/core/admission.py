@@ -36,7 +36,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from ..locking.bounds import PCPBlockingState
 from ..locking.model import ResourceSpec
 from .bounds import region_budget, stage_delay_factor
-from .numeric import EPS, approx_eq, approx_ge, approx_le
+from .numeric import EPS, approx_ge, approx_le
 from .synthetic import StageUtilizationTracker
 from .task import PipelineTask
 
@@ -132,11 +132,15 @@ class AdmissionDecision:
             decision (with the task included when admitted).
         shed: Task ids shed to make room, empty unless shedding was
             requested and used.
+        duplicate: The task id was already in flight: nothing was
+            tested, expired or installed, so the decision stream is
+            exactly what it would be without this request.
     """
 
     admitted: bool
     region_value: float
     shed: Tuple[Hashable, ...] = ()
+    duplicate: bool = False
 
 
 @dataclass(frozen=True)
@@ -277,16 +281,6 @@ class PipelineAdmissionController:
         # tie-breaks are deterministic across crash recovery.
         self._admission_seq = 0
         self.trackers = [StageUtilizationTracker(r) for r in reserved]
-        # Monotonic epoch covering everything _contributions /
-        # _candidate_budget read besides the task itself: the blocking
-        # state and the capacity vector.  would_admit caches its derived
-        # (contributions, previewed budget) pair against this epoch so a
-        # probe immediately followed by request() for the same task
-        # object pays the derivation once, not twice.
-        self._derivation_epoch = 0
-        self._probe: Optional[
-            Tuple[PipelineTask, int, Tuple[float, ...], Optional[float]]
-        ] = None
         self._admitted: Dict[Hashable, _Admitted] = {}
         # Min-heap of (expiry, task_id) so expire() is amortized
         # O(log n) per admitted task instead of a full scan — the
@@ -514,7 +508,6 @@ class PipelineAdmissionController:
         if not math.isfinite(capacity) or not (0.0 <= capacity <= 1.0):
             raise ValueError(f"capacity must be in [0, 1], got {capacity}")
         self._capacities[stage] = capacity
-        self._derivation_epoch += 1
         # Prospective-only changes break the charges == f(demand,
         # capacities) identity for the already-admitted set, so the
         # capacity-drift invariant stands down until the next rescale.
@@ -588,7 +581,6 @@ class PipelineAdmissionController:
         if not math.isfinite(capacity) or not (0.0 <= capacity <= 1.0):
             raise ValueError(f"capacity must be in [0, 1], got {capacity}")
         self._capacities[stage] = capacity
-        self._derivation_epoch += 1
         self._charges_follow_capacity = True
         for task_id, record in self._admitted.items():
             if record.demand is None:
@@ -703,14 +695,13 @@ class PipelineAdmissionController:
     def would_admit(self, task: PipelineTask, now: float) -> bool:
         """Evaluate the O(N) test without committing the task.
 
-        The derived (contributions, previewed-budget) pair is cached on
-        the controller keyed by the task object and the derivation
-        epoch, so a probe immediately followed by :meth:`request` for
-        the same task pays the (locking-path) blocking preview and
-        budget derivation once, not twice.
+        A task whose id is already in flight would not be admitted.
         """
+        if self._in_flight(task.task_id, now):
+            return False
         self.expire(now)
-        contributions, budget = self._derive(task)
+        contributions = self._contributions(task)
+        budget = self._candidate_budget(task)
         return budget is not None and self._fits(contributions, budget)
 
     def request(self, task: PipelineTask, now: float) -> AdmissionDecision:
@@ -730,10 +721,15 @@ class PipelineAdmissionController:
         Returns:
             An :class:`AdmissionDecision`; when admitted, the task's
             contributions are installed on every stage until
-            ``task.absolute_deadline``.
+            ``task.absolute_deadline``.  A task whose id is still in
+            flight at ``now`` gets a ``duplicate`` decision and leaves
+            the controller untouched.
         """
+        if self._in_flight(task.task_id, now):
+            return self._duplicate()
         self.expire(now)
-        contributions, budget = self._derive(task)
+        contributions = self._contributions(task)
+        budget = self._candidate_budget(task)
         if budget is None or not self._fits(contributions, budget):
             return AdmissionDecision(admitted=False, region_value=self.region_value())
         self._install(task, contributions)
@@ -747,16 +743,21 @@ class PipelineAdmissionController:
     ) -> List[AdmissionDecision]:
         """Batched admission: decide a time-ordered arrival sequence in one pass.
 
-        The batched fast path amortizes the per-request bookkeeping of
+        The batch loop amortizes the per-request bookkeeping of
         :meth:`request` — expiry processing is skipped for arrivals that
         share a timestamp (bursts), and the region value returned with
         each decision is served from a per-stage cache of
         ``f(min(U_j, 1))`` terms instead of being recomputed ``O(N)``
-        per rejection.
+        per rejection.  Locking controllers run the same loop, testing
+        each arrival with critical sections against its own previewed
+        budget.
 
         Correctness guarantee: the decisions (and the final tracker
         state) are *decision-for-decision identical* to calling
-        :meth:`request` once per task at the same timestamps.  The test
+        :meth:`request` once per task at the same timestamps — an
+        arrival whose id is still in flight included: it gets a
+        ``duplicate`` decision and its batch-mates are decided as if it
+        were absent.  The test
         loop performs the exact same float operations in the exact same
         order as :meth:`_fits`, and cache entries are always recomputed
         from ``tracker.value`` with the same expression
@@ -821,75 +822,21 @@ class PipelineAdmissionController:
                         "sequential equivalence requires every decision to "
                         "precede the task's expiry"
                     )
-        # A locking controller's budget moves with every install and
-        # expiry, so each candidate must be tested against its own
-        # previewed budget — the per-task reference loop.  Without
-        # locking the vectorized loop hoists every batch-invariant read
-        # (budget, tracker values, region cache) out of the iteration.
-        if self._blocking is not None:
-            return self._admit_many_scalar(task_list, time_list)
         return self._admit_many_fast(task_list, time_list)
-
-    def _admit_many_scalar(
-        self, task_list: List[PipelineTask], time_list: List[float]
-    ) -> List[AdmissionDecision]:
-        """Reference per-task decision loop (also the locking path).
-
-        This is the loop the vectorized fast path must match bitwise;
-        ``tests/test_vectorized_admission.py`` holds the two to
-        decision-for-decision and fingerprint equality.
-        """
-        trackers = self.trackers
-        # With locking off the budget is a constant and is hoisted out
-        # of the loop; a locking controller's budget moves with every
-        # install/expiry, and each candidate is tested against its own
-        # previewed budget — exactly as sequential request() would.
-        locking = self._blocking is not None
-        budget = self.budget
-        # f(min(U_j, 1)) per stage; kept exactly equal to the terms
-        # region_value() would compute, so sum(cache) == region_value().
-        cache = [stage_delay_factor(min(t.value, 1.0)) for t in trackers]
-        decisions: List[AdmissionDecision] = []
-        last_now: Optional[float] = None
-        for task, now in zip(task_list, time_list):
-            if last_now is None or now > last_now:
-                self._expire_cached(now, cache)
-                last_now = now
-            contributions = self._contributions(task)
-            row_budget = self._candidate_budget(task) if locking else budget
-            # Inline of _fits, same float-op order (equivalence depends on it).
-            value = 0.0
-            fits = row_budget is not None
-            if fits:
-                for tracker, extra in zip(trackers, contributions):
-                    u = tracker.value + extra
-                    if approx_ge(u, 1.0):
-                        fits = False
-                        break
-                    value += stage_delay_factor(u)
-                    if not approx_le(value, row_budget):
-                        fits = False
-                        break
-            if fits:
-                self._install(task, contributions)
-                for j, tracker in enumerate(trackers):
-                    cache[j] = stage_delay_factor(min(tracker.value, 1.0))
-            decisions.append(
-                AdmissionDecision(admitted=fits, region_value=sum(cache))
-            )
-        return decisions
 
     def _admit_many_fast(
         self, task_list: List[PipelineTask], time_list: List[float]
     ) -> List[AdmissionDecision]:
-        """Vectorized batch admission loop (non-locking controllers).
+        """The batch admission loop.
 
-        Same decisions, same final state, same floats as
-        :meth:`_admit_many_scalar` — DESIGN.md §16 maps each hoist to
-        the same-ulp argument.  Per-task work is reduced to the
-        irreducible float expressions:
+        Same decisions, same final state, same floats as one
+        :meth:`request` per task — DESIGN.md §16 maps each hoist to the
+        same-ulp argument.  Per-task work is reduced to the irreducible
+        float expressions:
 
-        - the budget is a loop constant (no locking preview),
+        - the budget is hoisted; a locking controller refreshes it after
+          every install and expiry sweep, and tests an arrival with
+          critical sections against its own previewed budget,
         - ``values`` mirrors each ``tracker.value`` float and is
           refreshed only when a tracker actually changes (install or
           expiry), so the region test reads a list instead of
@@ -913,7 +860,6 @@ class PipelineAdmissionController:
         """
         trackers = self.trackers
         num_stages = self.num_stages
-        budget = self.budget
         demand_model = self.demand_model
         exact_demand = type(demand_model) is ExactDemand
         capacities = self._capacities
@@ -931,18 +877,27 @@ class PipelineAdmissionController:
         cache = [_sdf(min(v, 1.0)) for v in values]
         region_total = sum(cache)
         row = [0.0] * num_stages
-        # |budget|, hoisted for the inlined approx_eq tolerance term
-        # max(1.0, |value|, |budget|): value >= 0 always (a sum of
-        # non-negative region terms), so only the budget needs abs().
-        abs_budget = budget if budget >= 0.0 else -budget  # repro: noqa[FLT002] — sign probe for the hoisted |budget|, not a boundary decision
+        # The admitted set's budget: a loop constant without locking,
+        # refreshed wherever _locking_track/_locking_discard can have
+        # moved it with locking.  |budget| is hoisted for the inlined
+        # approx_eq tolerance term max(1.0, |value|, |budget|): value
+        # >= 0 always (a sum of non-negative region terms), so only the
+        # budget needs abs().
+        shared_budget = self.budget
+        shared_abs = abs(shared_budget)
+        budget: Optional[float] = shared_budget
+        abs_budget = shared_abs
+        blocking = self._blocking
+        alpha = self.alpha
+        fsum = math.fsum
+        inf = math.inf
         decision_cls = AdmissionDecision
         new_decision = decision_cls.__new__
         set_dict = object.__setattr__
-        # _install, unrolled for the non-locking fast path: prebound
-        # per-stage tracker adds, a locally carried admission sequence,
-        # and direct record construction (this path never runs with a
-        # blocking engine, so the _locking_track no-op call drops out).
+        # _install, unrolled: prebound per-stage tracker adds, a locally
+        # carried admission sequence, and direct record construction.
         admitted_map = self._admitted
+        admitted_get = admitted_map.get
         tracker_adds = [t.add for t in trackers]
         record_cls = _Admitted
         new_record = record_cls.__new__
@@ -953,12 +908,26 @@ class PipelineAdmissionController:
         append = decisions.append
         last_now: Optional[float] = None
         for task, now in zip(task_list, time_list):
+            task_id = task.task_id
+            # _in_flight, inlined: a duplicate is answered before its
+            # timestamp can expire anything, so it changes no state.
+            record = admitted_get(task_id)
+            if record is not None and record.expiry > now:
+                append(
+                    decision_cls(
+                        admitted=False, region_value=region_total, duplicate=True
+                    )
+                )
+                continue
             if last_now is None or now > last_now:
                 if next_expiry <= now:
                     if self._expire_batch(now, cache, values):
                         region_total = sum(cache)
                         reject = None
                     next_expiry = heap[0][0] if heap else math.inf
+                    if blocking is not None:
+                        shared_budget = self.budget
+                        shared_abs = abs(shared_budget)
                 last_now = now
             demand = (
                 task.computation_times if exact_demand else demand_model.demand(task)
@@ -969,7 +938,35 @@ class PipelineAdmissionController:
                     f"{num_stages}"
                 )
             deadline = task.deadline
-            # Inline of _fits at the hoisted budget: same expressions,
+            if not nominal:
+                # Degraded capacities: _contributions stage by stage
+                # into the preallocated row — before the blocking
+                # preview, whose raises must come second.
+                for j, c in enumerate(demand):
+                    capacity = capacities[j]
+                    if capacity == 1.0:
+                        row[j] = c / deadline
+                    elif capacity == 0.0:
+                        row[j] = math.inf
+                    else:
+                        row[j] = c / (capacity * deadline)
+            if blocking is not None:
+                # _candidate_budget: a resource-free arrival previews
+                # the current vector, whose budget is the shared one;
+                # preview also rejects a non-finite deadline, so such a
+                # task takes the preview to raise there.
+                resources = task.resources
+                if resources or not 0.0 < deadline < inf:  # repro: noqa[FLT002] — mirrors preview's finite-and-positive deadline validation, not a boundary decision
+                    betas = blocking.preview(task_id, deadline, resources)
+                    if fsum(betas) >= 1.0:
+                        budget = None
+                    else:
+                        budget = region_budget(alpha, betas)
+                        abs_budget = abs(budget)
+                else:
+                    budget = shared_budget
+                    abs_budget = shared_abs
+            # Inline of _fits at the row's budget: same expressions,
             # same order (equivalence depends on it).  The nominal
             # branch folds _contributions into the test loop — each
             # stage's ``c / deadline`` is computed where it is consumed,
@@ -980,7 +977,10 @@ class PipelineAdmissionController:
             # bits the row would have carried).
             value = 0.0
             fits = True
-            if nominal:
+            if budget is None:
+                # The previewed blocking alone empties the region.
+                fits = False
+            elif nominal:
                 for v, c in zip(values, demand):
                     u = v + c / deadline
                     gap = 1.0 - u
@@ -1006,16 +1006,6 @@ class PipelineAdmissionController:
                 if fits:
                     contributions = tuple(c / deadline for c in demand)
             else:
-                # Degraded capacities: _contributions stage by stage
-                # into the preallocated row, then the identical test.
-                for j, c in enumerate(demand):
-                    capacity = capacities[j]
-                    if capacity == 1.0:
-                        row[j] = c / deadline
-                    elif capacity == 0.0:
-                        row[j] = math.inf
-                    else:
-                        row[j] = c / (capacity * deadline)
                 for v, extra in zip(values, row):
                     u = v + extra
                     gap = 1.0 - u
@@ -1033,13 +1023,11 @@ class PipelineAdmissionController:
                 if fits:
                     contributions = tuple(row)
             if fits:
-                # Install: per-stage tracker adds (the duplicate-id
-                # guard lives in tracker.add), then the admitted record
-                # built directly — same state _install produces, with
-                # the sequence number written back immediately so an
-                # add() raise mid-batch leaves it exact.
+                # Install: per-stage tracker adds, then the admitted
+                # record built directly — same state _install produces,
+                # with the sequence number written back immediately so
+                # an add() raise mid-batch leaves it exact.
                 expiry = task.arrival_time + deadline
-                task_id = task.task_id
                 for add, contribution in zip(tracker_adds, contributions):
                     add(task_id, contribution, expiry)
                 self._admission_seq = seq = self._admission_seq + 1
@@ -1057,6 +1045,10 @@ class PipelineAdmissionController:
                 push_expiry(heap, (expiry, task_id))
                 if expiry < next_expiry:
                     next_expiry = expiry
+                if blocking is not None:
+                    self._locking_track(task_id, deadline, task.resources)
+                    shared_budget = self.budget
+                    shared_abs = abs(shared_budget)
                 for j, tracker in enumerate(trackers):
                     v = tracker.value
                     values[j] = v
@@ -1070,7 +1062,12 @@ class PipelineAdmissionController:
                 set_dict(
                     admitted,
                     "__dict__",
-                    {"admitted": True, "region_value": region_total, "shed": ()},
+                    {
+                        "admitted": True,
+                        "region_value": region_total,
+                        "shed": (),
+                        "duplicate": False,
+                    },
                 )
                 append(admitted)
             else:
@@ -1086,16 +1083,18 @@ class PipelineAdmissionController:
     def _expire_batch(
         self, now: float, cache: List[float], values: List[float]
     ) -> bool:
-        """:meth:`_expire_cached`, also refreshing the hoisted value row.
+        """:meth:`expire`, refreshing the batch loop's hoisted rows.
 
         Returns ``True`` when any cached region term changed, so the
         batch loop re-derives its cached region sum.
         """
         changed = False
         for j, tracker in enumerate(self.trackers):
-            # Same released-amount guard as _expire_cached: a release
-            # of 0.0 cannot have moved the exact accumulator, so both
-            # the cached term and the mirrored value stay valid.
+            # A released amount of 0.0 leaves the cached term and the
+            # mirrored value valid: the exact accumulator guarantees
+            # expiring zero-cost contributions cannot move the running
+            # sum (an exact subtraction of zero), so only stages that
+            # actually released utilization are re-derived.
             if tracker.expire_until(now):
                 v = tracker.value
                 values[j] = v
@@ -1104,8 +1103,8 @@ class PipelineAdmissionController:
         heap = self._expiry_heap
         admitted = self._admitted
         pop = heapq.heappop
-        # The batch path never runs with a blocking engine, so the
-        # per-expiry _locking_discard no-op call is skipped wholesale.
+        # Without a blocking engine the per-expiry _locking_discard
+        # no-op call is skipped wholesale.
         locking = self._blocking is not None
         while heap and heap[0][0] <= now:
             _, task_id = pop(heap)
@@ -1115,24 +1114,6 @@ class PipelineAdmissionController:
                 if locking:
                     self._locking_discard(task_id)
         return changed
-
-    def _expire_cached(self, now: float, cache: List[float]) -> None:
-        """:meth:`expire`, refreshing region-cache entries of touched stages."""
-        for j, tracker in enumerate(self.trackers):
-            # A released amount of 0.0 leaves the cached term valid: the
-            # exact accumulator guarantees expiring zero-cost
-            # contributions cannot move the running sum (an exact
-            # subtraction of zero), so only stages that actually
-            # released utilization need their f(min(U_j, 1)) term
-            # re-derived.
-            if tracker.expire_until(now):
-                cache[j] = stage_delay_factor(min(tracker.value, 1.0))
-        while self._expiry_heap and self._expiry_heap[0][0] <= now:
-            _, task_id = heapq.heappop(self._expiry_heap)
-            record = self._admitted.get(task_id)
-            if record is not None and record.expiry <= now:
-                del self._admitted[task_id]
-                self._locking_discard(task_id)
 
     def request_with_shedding(
         self, task: PipelineTask, now: float
@@ -1150,8 +1131,11 @@ class PipelineAdmissionController:
             The decision; ``shed`` lists the removed task ids (callers
             must abort those tasks in the execution substrate).
         """
+        if self._in_flight(task.task_id, now):
+            return self._duplicate()
         self.expire(now)
-        contributions, budget = self._derive(task)
+        contributions = self._contributions(task)
+        budget = self._candidate_budget(task)
         if budget is not None and self._fits(contributions, budget):
             self._install(task, contributions)
             return AdmissionDecision(admitted=True, region_value=self.region_value())
@@ -1303,6 +1287,21 @@ class PipelineAdmissionController:
     # Internals
     # ------------------------------------------------------------------
 
+    def _in_flight(self, task_id: Hashable, now: float) -> bool:
+        """Whether ``task_id`` holds an admission that outlives ``now``.
+
+        Checked before expiry, so a duplicate request changes nothing
+        (an admission lapsing at ``now`` does not count: it expires and
+        the id is free again).
+        """
+        record = self._admitted.get(task_id)
+        return record is not None and record.expiry > now
+
+    def _duplicate(self) -> AdmissionDecision:
+        return AdmissionDecision(
+            admitted=False, region_value=self.region_value(), duplicate=True
+        )
+
     def _contributions(self, task: PipelineTask) -> Tuple[float, ...]:
         demand = self.demand_model.demand(task)
         if len(demand) != self.num_stages:
@@ -1339,28 +1338,6 @@ class PipelineAdmissionController:
             return None
         return region_budget(self.alpha, betas)
 
-    def _derive(self, task: PipelineTask) -> Tuple[Tuple[float, ...], Optional[float]]:
-        """Derive (contributions, candidate budget), cached per probe.
-
-        The cache is keyed by the task *object* and the derivation
-        epoch (bumped by every blocking-state or capacity mutation), so
-        a ``would_admit`` probe followed by ``request`` for the same
-        task reuses the derivation instead of re-running the blocking
-        preview.  Shipped demand models are pure functions of the task,
-        which the reuse relies on.
-        """
-        probe = self._probe
-        if (
-            probe is not None
-            and probe[0] is task
-            and probe[1] == self._derivation_epoch
-        ):
-            return probe[2], probe[3]
-        contributions = self._contributions(task)
-        budget = self._candidate_budget(task)
-        self._probe = (task, self._derivation_epoch, contributions, budget)
-        return contributions, budget
-
     def _locking_track(
         self,
         task_id: Hashable,
@@ -1372,7 +1349,6 @@ class PipelineAdmissionController:
             return
         self.betas = self._blocking.add(task_id, deadline, resources)
         self.budget = region_budget(self.alpha, self.betas)
-        self._derivation_epoch += 1
 
     def _locking_discard(self, task_id: Hashable) -> None:
         """Drop a task from the blocking engine; betas/budget follow.
@@ -1384,13 +1360,8 @@ class PipelineAdmissionController:
             return
         self.betas = self._blocking.remove(task_id)
         self.budget = region_budget(self.alpha, self.betas)
-        self._derivation_epoch += 1
 
-    def _fits(
-        self, contributions: Tuple[float, ...], budget: Optional[float] = None
-    ) -> bool:
-        if budget is None:
-            budget = self.budget
+    def _fits(self, contributions: Tuple[float, ...], budget: float) -> bool:
         value = 0.0
         for tracker, extra in zip(self.trackers, contributions):
             u = tracker.value + extra

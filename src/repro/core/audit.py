@@ -270,14 +270,15 @@ class ControllerAuditor:
                 controller.num_stages,
             )
             cached = blocking.betas()
-            if cached != blocking.recompute():
+            recomputed = blocking.recompute()
+            if cached != recomputed:
                 violations.append(
                     InvariantViolation(
                         "blocking-drift",
                         None,
                         None,
                         f"cached beta vector {cached!r} != engine "
-                        f"recomputation {blocking.recompute()!r}",
+                        f"recomputation {recomputed!r}",
                     )
                 )
             elif cached != ground_truth:

@@ -15,30 +15,27 @@ and the region's right-hand side shrinks by the normalized vector
     beta_j = max_i B_ij / D_i        (Eq. 15).
 
 :class:`PCPBlockingState` maintains these quantities *online* over the
-currently admitted set: every arrival and departure recomputes the
-exact bound from the per-task :class:`~repro.locking.model.ResourceSpec`
-declarations.  The computation is a pure function of the entry set —
-max/min reductions over canonically ordered inputs — so the derived
-``beta_j`` vector is bitwise identical regardless of the order tasks
-were added or removed.  That property is what lets crash recovery
-rebuild blocking state from replayed admissions and land on the exact
-same region budget.
+currently admitted set, with deadline-monotonic priorities (the paper's
+``alpha = 1`` policy; ``repr`` of the task id breaks deadline ties).
 
-Priorities are deadline-monotonic (the paper's ``alpha = 1`` policy):
-a smaller relative deadline means higher priority, with ``repr`` of the
-task id as a deterministic tie-break.
+A section of ``T_k`` on ``r`` at stage ``j`` blocks exactly the victims
+whose priority key lies in ``[ceiling(r, j), key(T_k))``.  The smallest
+key in that range is the ceiling holder's own, and keys sort by
+deadline first; correctly rounded division is monotone, so bitwise
 
-The per-stage reduction is a sweep over priority space rather than the
-naive ``O(tasks x sections)`` double loop: a section of task ``T_k``
-on resource ``r`` blocks exactly the victims whose priority key lies
-in ``[ceiling(r, j), key(T_k))``, so per stage we sort section
-intervals and victim keys once and answer every ``B_ij`` with a
-heap-backed stabbing-max — ``O((S + T) log (S + T))`` per recompute.
+    beta_j = max_r  top(r, j) / D_ceiling(r, j)
+
+where ``top(r, j)`` is the longest section of ``r``'s holders at stage
+``j`` strictly below the ceiling.  Each ``(stage, resource)`` anchor
+keeps its ceiling and ``top``: an arrival folds into its anchors in
+``O(specs)`` and can only raise them, a departure rebuilds only the
+anchors it held.  Every stored value is a max/min over the entry set,
+so the vector is bitwise identical whatever the order of adds and
+removes — what lets crash recovery land on the exact same budget.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,63 +48,93 @@ __all__ = [
 
 #: Priority key: (relative deadline, repr(task_id)).  Smaller sorts
 #: first = higher priority; the repr tie-break keeps mixed-type task
-#: ids totally ordered and the sweep deterministic.
+#: ids totally ordered.
 _Key = Tuple[float, str]
 
-#: One critical section at a stage: (ceiling key, owner key, length).
-_Section = Tuple[_Key, _Key, float]
+#: A tracked task: (relative deadline, canonical resource declarations).
+_Entry = Tuple[float, Tuple[ResourceSpec, ...]]
 
 
-def _priority_key(task_id: Hashable, deadline: float) -> _Key:
-    return (deadline, repr(task_id))
+class _Anchor:
+    """The holders of one resource at one stage, summarized for Eq. 15.
 
-
-def _stage_blocking(
-    victims: Sequence[Tuple[_Key, float]],
-    sections: Sequence[_Section],
-    per_victim: Optional[List[float]] = None,
-) -> float:
-    """Normalized blocking ``beta_j = max_i B_ij / D_i`` for one stage.
-
-    ``victims`` must be sorted ascending by key.  A section blocks the
-    victims whose key lies in ``[ceiling, owner)``; sweeping victims in
-    key order, sections activate once the ceiling is reached and retire
-    at the owner's own key (a task is never blocked by its own section,
-    nor by an equal-or-higher-priority one).  The active multiset is a
-    lazy-deletion max-heap, so each ``B_ij`` is the current stabbing
-    max.
-
-    When ``per_victim`` is given, the raw ``B_ij`` of every victim is
-    appended to it in sweep (key) order.
+    ``ceiling`` is the smallest holder key, ``tied`` the longest section
+    among holders at exactly that key (a section never blocks its own
+    key), ``top`` the longest section strictly below the ceiling,
+    starting at ``0.0`` with ``>`` comparisons, and ``value`` the
+    anchor's normalized blocking ``top / D_ceiling``.
     """
-    if not sections:
-        if per_victim is not None:
-            per_victim.extend(0.0 for _ in victims)
-        return 0.0
-    activate = sorted(sections)
-    retire = sorted(sections, key=lambda s: s[1])
-    ai = ri = 0
-    active: Dict[float, int] = {}
-    heap: List[float] = []
+
+    __slots__ = ("holders", "ceiling", "tied", "top", "value")
+
+    def __init__(self) -> None:
+        self.holders: Dict[Hashable, Tuple[_Key, float]] = {}
+        self.ceiling: Optional[_Key] = None
+        self.tied = 0.0
+        self.top = 0.0
+        self.value = 0.0
+
+    def fold(self, key: _Key, length: float) -> Tuple[_Key, float, float]:
+        """``(ceiling, tied, top)`` with one more holder; no mutation."""
+        ceiling, tied, top = self.ceiling, self.tied, self.top
+        if ceiling is None or key < ceiling:
+            if ceiling is not None and tied > top:
+                top = tied
+            return key, length, top
+        if key == ceiling:
+            return ceiling, (length if length > tied else tied), top
+        return ceiling, tied, (length if length > top else top)
+
+    def push(self, task_id: Hashable, key: _Key, length: float) -> float:
+        """Track one holder; returns the (never smaller) anchor value."""
+        self.holders[task_id] = (key, length)
+        ceiling, self.tied, self.top = self.fold(key, length)
+        self.ceiling = ceiling
+        self.value = self.top / ceiling[0]
+        return self.value
+
+    def drop(self, task_id: Hashable) -> None:
+        """Forget one holder and re-derive the summary if it moved."""
+        key, length = self.holders.pop(task_id)
+        ceiling = self.ceiling
+        assert ceiling is not None
+        if key > ceiling and length < self.top:
+            # Neither the ceiling nor the longest blocking section left.
+            return
+        self.ceiling, self.tied, self.top = None, 0.0, 0.0
+        for key, length in self.holders.values():
+            self.ceiling, self.tied, self.top = self.fold(key, length)
+        self.value = 0.0 if self.ceiling is None else self.top / self.ceiling[0]
+
+
+def _stage_beta(anchors: Iterable[_Anchor]) -> float:
     beta = 0.0
-    for key, deadline in victims:
-        while ai < len(activate) and activate[ai][0] <= key:
-            length = activate[ai][2]
-            active[length] = active.get(length, 0) + 1
-            heapq.heappush(heap, -length)
-            ai += 1
-        while ri < len(retire) and retire[ri][1] <= key:
-            active[retire[ri][2]] -= 1
-            ri += 1
-        while heap and active.get(-heap[0], 0) <= 0:
-            heapq.heappop(heap)
-        blocking = -heap[0] if heap else 0.0
-        if per_victim is not None:
-            per_victim.append(blocking)
-        normalized = blocking / deadline
-        if normalized > beta:
-            beta = normalized
+    for anchor in anchors:
+        if anchor.value > beta:
+            beta = anchor.value
     return beta
+
+
+def _push(
+    anchors: List[Dict[str, _Anchor]], task_id: Hashable, key: _Key, spec: ResourceSpec
+) -> float:
+    """Track one section in its anchor; returns the anchor's new value."""
+    stage = anchors[spec.stage]
+    anchor = stage.get(spec.resource)
+    if anchor is None:
+        anchor = stage[spec.resource] = _Anchor()
+    return anchor.push(task_id, key, spec.max_length)
+
+
+def _index(
+    tasks: Dict[Hashable, _Entry], num_stages: int
+) -> Tuple[List[Dict[str, _Anchor]], Tuple[float, ...]]:
+    """Anchor index and ``beta_j`` vector built from scratch."""
+    anchors: List[Dict[str, _Anchor]] = [{} for _ in range(num_stages)]
+    for task_id, (deadline, specs) in tasks.items():
+        for spec in specs:
+            _push(anchors, task_id, (deadline, repr(task_id)), spec)
+    return anchors, tuple(_stage_beta(stage.values()) for stage in anchors)
 
 
 def compute_betas(
@@ -128,11 +155,12 @@ def compute_betas(
 class PCPBlockingState:
     """Online ``B_ij`` / ``beta_j`` bookkeeping over the admitted set.
 
-    Every mutation (:meth:`add`, :meth:`remove`) recomputes the exact
-    blocking vector; :meth:`preview` evaluates a tentative arrival
-    without committing it, which is how the admission controller
-    refuses an admit whose own critical sections would push
-    ``sum_j beta_j`` out of the region.
+    :meth:`add` and :meth:`remove` keep the exact blocking vector
+    current in time independent of the admitted-set size;
+    :meth:`preview` evaluates a tentative arrival without committing
+    it, which is how the admission controller refuses an admit whose
+    own critical sections would push ``sum_j beta_j`` out of the
+    region.
 
     Args:
         num_stages: Pipeline length; every spec's ``stage`` must be
@@ -143,8 +171,8 @@ class PCPBlockingState:
         if num_stages < 1:
             raise ValueError(f"num_stages must be >= 1, got {num_stages}")
         self.num_stages = num_stages
-        self._tasks: Dict[Hashable, Tuple[float, Tuple[ResourceSpec, ...]]] = {}
-        self._sections = 0
+        self._tasks: Dict[Hashable, _Entry] = {}
+        self._anchors: List[Dict[str, _Anchor]] = [{} for _ in range(num_stages)]
         self._betas: Tuple[float, ...] = (0.0,) * num_stages
 
     # ------------------------------------------------------------------
@@ -161,50 +189,42 @@ class PCPBlockingState:
         """Current normalized blocking vector ``(beta_1, ..., beta_N)``."""
         return self._betas
 
-    def beta_sum(self) -> float:
-        """``sum_j beta_j`` accumulated exactly (order-independent)."""
-        return math.fsum(self._betas)
-
-    def resources_of(self, task_id: Hashable) -> Tuple[ResourceSpec, ...]:
-        """Canonical resource declarations of one tracked task."""
-        return self._tasks[task_id][1]
-
-    def entries(self) -> List[Tuple[Hashable, float, Tuple[ResourceSpec, ...]]]:
-        """All ``(task_id, deadline, resources)`` entries, canonically ordered."""
-        return [
-            (task_id, deadline, resources)
-            for task_id, (deadline, resources) in sorted(
-                self._tasks.items(), key=lambda item: repr(item[0])
-            )
-        ]
-
     def recompute(self) -> Tuple[float, ...]:
-        """Ground-truth ``beta_j`` recomputed from scratch.
+        """Ground-truth ``beta_j`` rebuilt from the tracked entries.
 
         The cached vector maintained across mutations must equal this
         bitwise at all times; :class:`repro.core.audit.ControllerAuditor`
         enforces exactly that.
         """
-        return self._compute(self._tasks)
+        return _index(self._tasks, self.num_stages)[1]
 
     def blocking_matrix(self) -> Dict[Hashable, Tuple[float, ...]]:
-        """Raw ``B_ij`` per tracked task (diagnostics / audit detail)."""
-        victims, by_stage = self._prepare(self._tasks)
-        order = [task_id for _, task_id in sorted(
-            ((key, task_id) for task_id, (key, _) in victims.items())
-        )]
-        sorted_victims = [
-            (victims[task_id][0], victims[task_id][1]) for task_id in order
-        ]
-        columns: List[List[float]] = []
-        for j in range(self.num_stages):
-            column: List[float] = []
-            _stage_blocking(sorted_victims, by_stage[j], per_victim=column)
-            columns.append(column)
-        return {
-            task_id: tuple(columns[j][i] for j in range(self.num_stages))
-            for i, task_id in enumerate(order)
-        }
+        """Raw ``B_ij`` per tracked task (diagnostics / audit detail).
+
+        Straight from the definition: the longest section, at an anchor
+        whose ceiling is at or above the victim's priority, held by a
+        strictly lower-priority task.  Victims come in priority order.
+        """
+        victims = sorted(
+            (((deadline, repr(task_id)), task_id)
+             for task_id, (deadline, _) in self._tasks.items()),
+            key=lambda victim: victim[0],
+        )
+        matrix: Dict[Hashable, Tuple[float, ...]] = {}
+        for key, task_id in victims:
+            row = []
+            for stage in self._anchors:
+                blocking = 0.0
+                for anchor in stage.values():
+                    assert anchor.ceiling is not None
+                    if anchor.ceiling > key:
+                        continue
+                    for owner, length in anchor.holders.values():
+                        if owner > key and length > blocking:
+                            blocking = length
+                row.append(blocking)
+            matrix[task_id] = tuple(row)
+        return matrix
 
     # ------------------------------------------------------------------
     # Mutation
@@ -218,6 +238,10 @@ class PCPBlockingState:
     ) -> Tuple[float, ...]:
         """Track an admitted task; returns the updated ``beta_j`` vector.
 
+        ``O(specs)``: an arrival can only lower ceilings and lengthen
+        ``top``, so each touched anchor's value never shrinks and the
+        new ``beta_j`` is the old one maxed with the touched values.
+
         Raises:
             ValueError: If the task is already tracked, the deadline is
                 not positive and finite, or a spec's stage is out of
@@ -227,31 +251,34 @@ class PCPBlockingState:
             raise ValueError(f"task {task_id!r} already tracked")
         entry = self._validated(task_id, deadline, resources)
         self._tasks[task_id] = entry
-        self._sections += len(entry[1])
-        self._betas = self._compute(self._tasks)
+        deadline, specs = entry
+        if specs:
+            key = (deadline, repr(task_id))
+            betas = list(self._betas)
+            for spec in specs:
+                value = _push(self._anchors, task_id, key, spec)
+                if value > betas[spec.stage]:
+                    betas[spec.stage] = value
+            self._betas = tuple(betas)
         return self._betas
 
     def load(
         self,
         entries: Iterable[Tuple[Hashable, float, Sequence[ResourceSpec]]],
     ) -> Tuple[float, ...]:
-        """Track many tasks with a single recompute at the end.
+        """Track many tasks at once.
 
         Equivalent to calling :meth:`add` per entry — the vector is a
-        pure function of the entry set — but with one recompute at the
-        end instead of one per insertion, which is what keeps a static
-        population bound over 10k tasks (:func:`compute_betas`)
-        near-linear rather than quadratic.
+        pure function of the entry set — with every entry validated
+        before any is tracked.
         """
-        staged: Dict[Hashable, Tuple[float, Tuple[ResourceSpec, ...]]] = {}
+        staged: Dict[Hashable, _Entry] = {}
         for task_id, deadline, resources in entries:
             if task_id in self._tasks or task_id in staged:
                 raise ValueError(f"task {task_id!r} already tracked")
             staged[task_id] = self._validated(task_id, deadline, resources)
-        for task_id, entry in staged.items():
-            self._tasks[task_id] = entry
-            self._sections += len(entry[1])
-        self._betas = self._compute(self._tasks)
+        self._tasks.update(staged)
+        self._anchors, self._betas = _index(self._tasks, self.num_stages)
         return self._betas
 
     def remove(self, task_id: Hashable) -> Tuple[float, ...]:
@@ -260,12 +287,22 @@ class PCPBlockingState:
         Removal can only shrink (or preserve) every ``beta_j``: the
         task's sections disappear, its ceilings relax, and it leaves
         the victim max — so a departure always restores a budget at
-        least as large as before the matching arrival.
+        least as large as before the matching arrival.  Costs the
+        holders of the task's anchors plus the anchors at their stages.
         """
         entry = self._tasks.pop(task_id, None)
-        if entry is not None:
-            self._sections -= len(entry[1])
-            self._betas = self._compute(self._tasks)
+        if entry is None or not entry[1]:
+            return self._betas
+        betas = list(self._betas)
+        for spec in entry[1]:
+            stage = self._anchors[spec.stage]
+            anchor = stage[spec.resource]
+            anchor.drop(task_id)
+            if not anchor.holders:
+                del stage[spec.resource]
+        for j in {spec.stage for spec in entry[1]}:
+            betas[j] = _stage_beta(self._anchors[j].values())
+        self._betas = tuple(betas)
         return self._betas
 
     def preview(
@@ -278,14 +315,31 @@ class PCPBlockingState:
 
         Bitwise identical to what :meth:`add` with the same arguments
         would cache — the admission test evaluates the exact budget the
-        controller will hold after committing.  A task id that is
-        already tracked is overlaid (what-if re-admission); duplicate
-        detection stays with the caller's install path.
+        controller will hold after committing.  ``O(specs)`` for a new
+        id; a resource-free arrival returns the current vector.  A task
+        id that is already tracked is overlaid (what-if re-admission,
+        rebuilt from scratch); duplicate detection stays with the
+        caller.
         """
         entry = self._validated(task_id, deadline, resources)
-        overlay = dict(self._tasks)
-        overlay[task_id] = entry
-        return self._compute(overlay)
+        if task_id in self._tasks:
+            overlay = dict(self._tasks)
+            overlay[task_id] = entry
+            return _index(overlay, self.num_stages)[1]
+        deadline, specs = entry
+        if not specs:
+            return self._betas
+        key = (deadline, repr(task_id))
+        betas = list(self._betas)
+        for spec in specs:
+            anchor = self._anchors[spec.stage].get(spec.resource)
+            if anchor is None:
+                continue  # a lone holder blocks nobody
+            ceiling, _, top = anchor.fold(key, spec.max_length)
+            value = top / ceiling[0]
+            if value > betas[spec.stage]:
+                betas[spec.stage] = value
+        return tuple(betas)
 
     # ------------------------------------------------------------------
     # Internals
@@ -296,7 +350,7 @@ class PCPBlockingState:
         task_id: Hashable,
         deadline: float,
         resources: Sequence[ResourceSpec],
-    ) -> Tuple[float, Tuple[ResourceSpec, ...]]:
+    ) -> _Entry:
         if not math.isfinite(deadline) or deadline <= 0:
             raise ValueError(
                 f"task {task_id!r}: deadline must be finite and > 0, got {deadline}"
@@ -309,43 +363,3 @@ class PCPBlockingState:
                     f"stage {spec.stage}, pipeline has {self.num_stages} stages"
                 )
         return (float(deadline), specs)
-
-    def _prepare(
-        self,
-        tasks: Dict[Hashable, Tuple[float, Tuple[ResourceSpec, ...]]],
-    ) -> Tuple[
-        Dict[Hashable, Tuple[_Key, float]],
-        List[List[_Section]],
-    ]:
-        """Victim keys and per-stage section intervals for the sweep."""
-        victims: Dict[Hashable, Tuple[_Key, float]] = {}
-        ceilings: Dict[Tuple[int, str], _Key] = {}
-        raw: List[Tuple[int, str, _Key, float]] = []
-        for task_id, (deadline, resources) in tasks.items():
-            key = _priority_key(task_id, deadline)
-            victims[task_id] = (key, deadline)
-            for spec in resources:
-                anchor = (spec.stage, spec.resource)
-                ceiling = ceilings.get(anchor)
-                if ceiling is None or key < ceiling:
-                    ceilings[anchor] = key
-                raw.append((spec.stage, spec.resource, key, spec.max_length))
-        by_stage: List[List[_Section]] = [[] for _ in range(self.num_stages)]
-        for stage, resource, owner, length in raw:
-            by_stage[stage].append((ceilings[(stage, resource)], owner, length))
-        return victims, by_stage
-
-    def _compute(
-        self,
-        tasks: Dict[Hashable, Tuple[float, Tuple[ResourceSpec, ...]]],
-    ) -> Tuple[float, ...]:
-        if not tasks or (self._sections == 0 and tasks is self._tasks):
-            return (0.0,) * self.num_stages
-        victims, by_stage = self._prepare(tasks)
-        if all(not sections for sections in by_stage):
-            return (0.0,) * self.num_stages
-        sorted_victims = sorted(victims.values())
-        return tuple(
-            _stage_blocking(sorted_victims, by_stage[j])
-            for j in range(self.num_stages)
-        )

@@ -645,8 +645,15 @@ class AdmissionGateway:
         window = self._rid_decided
         limit = self.dedup_window
         rappend = routed.append
-        for (token, _task, _decision), line in zip(decided, lines):
+        for (token, task, decision), line in zip(decided, lines):
             request = token[1]
+            if decision.duplicate:
+                self.errors += 1
+                line = error_response(
+                    request,
+                    "duplicate-task",
+                    f"task {task.task_id!r} is already in flight",
+                )
             rid = request.get("rid")
             if rid is not None:
                 pending_discard(rid)

@@ -366,20 +366,25 @@ class ServedPipeline:
         counters = self.counters
         counters.batches += 1
         size = len(batch)
-        counters.offered += size
         if size > counters.largest_batch:
             counters.largest_batch = size
         decided: List[Decided] = []
         append = decided.append
         admitted = 0
         shed = 0
+        # A duplicate (its id still in flight) is answered with an
+        # error and decided nothing, so it is not offered either.
+        duplicates = 0
         for (token, task), decision in zip(batch, decisions):
             if decision.admitted:
                 admitted += 1
+            elif decision.duplicate:
+                duplicates += 1
             shed += len(decision.shed)
             append((token, task, decision))
+        counters.offered += size - duplicates
         counters.admitted += admitted
-        counters.rejected += size - admitted
+        counters.rejected += size - duplicates - admitted
         counters.shed += shed
         return decided
 

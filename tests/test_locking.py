@@ -1,7 +1,10 @@
 """repro.locking: ResourceSpec model, PCP blocking bounds, transactional
 admission, wire encoding, and snapshot v3 round-trips."""
 
+import hashlib
 import json
+import random
+import struct
 
 import pytest
 
@@ -18,11 +21,13 @@ from repro.locking import (
 )
 from repro.serve.protocol import ProtocolError, task_from_wire, task_to_wire
 from repro.serve.registry import PipelinePolicy
+from repro.serve.loadgen import main as loadgen_main
 from repro.serve.snapshot import (
     SNAPSHOT_FORMAT_V2,
     controller_snapshot,
     restore_controller,
 )
+from tests.oracles import sweep_betas, sweep_blocking_matrix
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +224,166 @@ class TestPCPBounds:
             state.add("a", 1.0, [ResourceSpec(1, "r", 0.1)])
         with pytest.raises(ValueError, match="deadline"):
             state.add("b", 0.0)
+
+
+# ----------------------------------------------------------------------
+# Differential: the anchor index against the priority-space sweep
+# ----------------------------------------------------------------------
+
+#: Ids of three types; equal deadlines fall back to the repr tie-break.
+_IDS = [0, 1, 2, 7, 10, -3, "a", "b", "0", "10", (1, 2), ("x",), (0,)]
+_DEADLINES = [0.25, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0]
+_LENGTHS = [0.0, 5e-324, 1e-300, 0.01, 0.1, 0.25, 0.25, 0.4]
+_RESOURCES = ["r", "s", "t"]
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _random_entry(rng, num_stages):
+    deadline = rng.choice(_DEADLINES) if rng.random() < 0.7 else rng.uniform(0.1, 4.0)
+    anchors = rng.sample(
+        [(j, r) for j in range(num_stages) for r in _RESOURCES],
+        rng.randrange(0, 4),
+    )
+    specs = [
+        ResourceSpec(
+            j,
+            r,
+            rng.choice(_LENGTHS) if rng.random() < 0.6 else rng.uniform(0.0, 0.5),
+        )
+        for j, r in anchors
+    ]
+    return deadline, specs
+
+
+def _run_stream(seed):
+    rng = random.Random(seed)
+    num_stages = rng.randrange(1, 5)
+    state = PCPBlockingState(num_stages)
+    tracked = {}
+    checks = 0
+
+    def check():
+        betas = state.betas()
+        want = sweep_betas(
+            ((tid, d, specs) for tid, (d, specs) in tracked.items()), num_stages
+        )
+        assert _bits(betas) == _bits(want), (seed, betas, want)
+        assert state.recompute() == betas
+        return 1
+
+    for _ in range(rng.randrange(4, 16)):
+        free = [tid for tid in _IDS if tid not in tracked]
+        op = rng.random()
+        if op < 0.4 and free:
+            tid = rng.choice(free)
+            deadline, specs = _random_entry(rng, num_stages)
+            state.add(tid, deadline, specs)
+            tracked[tid] = (deadline, specs)
+        elif op < 0.6 and tracked:
+            tid = rng.choice(list(tracked))
+            state.remove(tid)
+            del tracked[tid]
+        elif op < 0.65:
+            state.remove("ghost")
+        elif op < 0.75 and free:
+            batch = {
+                tid: _random_entry(rng, num_stages)
+                for tid in rng.sample(free, min(len(free), rng.randrange(1, 4)))
+            }
+            state.load((tid, d, specs) for tid, (d, specs) in batch.items())
+            tracked.update(batch)
+        else:
+            # Preview of a new id or, as an overlay, of a tracked one.
+            pool = free if (rng.random() < 0.6 or not tracked) else list(tracked)
+            if not pool:
+                continue
+            tid = rng.choice(pool)
+            deadline, specs = _random_entry(rng, num_stages)
+            before = state.betas()
+            overlay = dict(tracked)
+            overlay[tid] = (deadline, specs)
+            got = state.preview(tid, deadline, specs)
+            want = sweep_betas(
+                ((t, d, sp) for t, (d, sp) in overlay.items()), num_stages
+            )
+            assert _bits(got) == _bits(want), (seed, got, want)
+            assert state.betas() is before
+            assert (tid in state) == (tid in tracked)
+            if tid not in tracked:
+                assert state.add(tid, deadline, specs) == got
+                tracked[tid] = (deadline, specs)
+        checks += check()
+    entries = [(tid, d, specs) for tid, (d, specs) in tracked.items()]
+    assert state.blocking_matrix() == sweep_blocking_matrix(entries, num_stages)
+    return checks
+
+
+class TestAgainstSweep:
+    """``betas``/``preview``/``recompute`` are bitwise the sweep's."""
+
+    def test_differential_op_streams(self):
+        checks = sum(_run_stream(seed) for seed in range(3000))
+        assert checks > 20_000
+
+    def test_subnormal_lengths_and_repr_tie_breaks(self):
+        state = PCPBlockingState(1)
+        # Equal deadlines: "b" > "a" by repr, so "a" holds the ceiling.
+        state.add("a", 1.0, [ResourceSpec(0, "r", 5e-324)])
+        state.add("b", 1.0, [ResourceSpec(0, "r", 1e-300)])
+        state.add(3, 1.0, [ResourceSpec(0, "r", 0.0)])
+        entries = [
+            ("a", 1.0, [ResourceSpec(0, "r", 5e-324)]),
+            ("b", 1.0, [ResourceSpec(0, "r", 1e-300)]),
+            (3, 1.0, [ResourceSpec(0, "r", 0.0)]),
+        ]
+        assert _bits(state.betas()) == _bits(sweep_betas(entries, 1))
+        state.remove(3)
+        assert _bits(state.betas()) == _bits(sweep_betas(entries[:2], 1))
+
+
+class _SameRepr:
+    """A hashable id whose repr collides with every other instance's."""
+
+    def __repr__(self):
+        return "same"
+
+
+class TestTiedPriorityKeys:
+    def test_holders_sharing_the_ceiling_key_block_nobody_until_outranked(self):
+        """Equal deadline and equal repr: all of them hold the ceiling,
+        so none blocks another until a higher-priority holder arrives."""
+        a, b = _SameRepr(), _SameRepr()
+        entries = [
+            (a, 1.0, [ResourceSpec(0, "r", 0.3)]),
+            (b, 1.0, [ResourceSpec(0, "r", 0.2)]),
+        ]
+        state = PCPBlockingState(1)
+        state.load(entries)
+        assert state.betas() == sweep_betas(entries, 1) == (0.0,)
+        assert state.preview("hi", 0.5, [ResourceSpec(0, "r", 0.0)]) == (0.3 / 0.5,)
+        entries.append(("hi", 0.5, [ResourceSpec(0, "r", 0.0)]))
+        state.add("hi", 0.5, [ResourceSpec(0, "r", 0.0)])
+        assert _bits(state.betas()) == _bits(sweep_betas(entries, 1))
+        assert state.blocking_matrix() == {a: (0.0,), b: (0.0,), "hi": (0.3,)}
+        state.remove(a)
+        assert _bits(state.betas()) == _bits(sweep_betas(entries[1:], 1))
+
+
+class TestStaticBoundReport:
+    def test_compare_blocking_report_bytes_are_pinned(self, tmp_path, capsys):
+        """``--compare-blocking`` builds its static bound with
+        ``compute_betas`` over the whole population; its report is the
+        same bytes as under the priority-space sweep engine."""
+        out = tmp_path / "report.json"
+        argv = ["--compare-blocking", "--seed", "0", "--out", str(out)]
+        assert loadgen_main(argv) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "65a1f0bab588bed4121ffbb3e15109e536b863cadd9b278fc65a9422d4c88563"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ import socket
 
 import pytest
 
+from repro.core.audit import ControllerAuditor
 from repro.core.task import make_task
+from repro.locking import ResourceSpec
 from repro.serve.client import (
     GatewayClient,
     GatewayError,
@@ -23,6 +25,8 @@ from repro.serve.client import (
 from repro.serve.gateway import AdmissionGateway
 from repro.serve.loadgen import _TcpGatewayThread
 from repro.serve.protocol import task_to_wire
+from repro.serve.recovery import recover, registry_fingerprint
+from repro.serve.snapshot import controller_snapshot
 
 NUM_STAGES = 3
 POLICY = {"num_stages": NUM_STAGES}
@@ -199,6 +203,106 @@ class TestErrors:
         client.register("web", POLICY)
         with pytest.raises(GatewayError):
             client.call(op, **operands)
+
+
+def _duplicate_script(mode):
+    """Admit lines where ids 1 and 4 come back while still in flight and
+    id 2 comes back after its admission lapsed (decided afresh).
+
+    ``mode`` is ``plain``, ``locking`` or ``shedding`` (the pipeline's
+    per-request lane).  Returns ``(register, lines, duplicate_indices)``.
+    """
+    locking = mode == "locking"
+    policy = {"num_stages": 2, "alpha": 0.9, "locking": locking,
+              "shedding": mode == "shedding"}
+    register = {"id": 0, "op": "register", "pipeline": "p", "policy": policy}
+    arrivals = [
+        (1, 0.0, 5.0), (2, 0.1, 0.5), (3, 0.2, 5.0), (1, 0.3, 5.0),
+        (4, 0.4, 2.0), (2, 0.9, 5.0), (4, 1.0, 1.0), (5, 1.1, 3.0),
+        (1, 1.2, 1.0),
+    ]
+    lines = []
+    for k, (task_id, arrival, deadline) in enumerate(arrivals):
+        task = task_to_wire(
+            make_task(
+                arrival_time=arrival,
+                deadline=deadline,
+                computation_times=[0.02, 0.03],
+                resources=[ResourceSpec(k % 2, "db", 0.004 * k)] if locking else (),
+                task_id=task_id,
+            )
+        )
+        lines.append(
+            json.dumps(
+                {"id": k + 1, "rid": f"r{k}", "op": "admit", "pipeline": "p",
+                 "task": task}
+            )
+        )
+    return register, lines, [3, 6, 8]
+
+
+def _feed(gateway, lines, lane):
+    if lane == "frames":
+        routed = gateway.handle_frames([line.encode() for line in lines])
+    else:
+        routed = [r for line in lines for r in gateway.handle_line(line)]
+    return [line for _, line in routed + gateway.drain()]
+
+
+class TestDuplicateTask:
+    """An admit whose task id is still in flight gets a structured
+    error; its batch-mates are decided as if the line were absent."""
+
+    @pytest.mark.parametrize("lane", ["line", "frames"])
+    @pytest.mark.parametrize("max_batch", [1, 32])
+    @pytest.mark.parametrize("mode", ["plain", "locking", "shedding"])
+    def test_duplicate_is_an_error_and_mates_are_unaffected(
+        self, lane, max_batch, mode
+    ):
+        register, lines, dups = _duplicate_script(mode)
+        register["policy"]["max_batch"] = max_batch
+        with_dups = AdmissionGateway()
+        without = AdmissionGateway()
+        for gateway in (with_dups, without):
+            gateway.handle_line(json.dumps(register))
+        got = _feed(with_dups, lines, lane)
+        want = _feed(without, [ln for k, ln in enumerate(lines) if k not in dups], lane)
+
+        for k in dups:
+            doc = json.loads(got[k])
+            assert doc["ok"] is False and doc["error"] == "duplicate-task"
+            assert doc["id"] == k + 1 and doc["op"] == "admit"
+        assert [line for k, line in enumerate(got) if k not in dups] == want
+        assert json.loads(got[5])["admitted"] is True  # id 2, lapsed first
+        assert with_dups.errors == len(dups)
+
+        controller = with_dups.registry.get("p").controller
+        reference = without.registry.get("p").controller
+        assert controller_snapshot(controller) == controller_snapshot(reference)
+        assert ControllerAuditor(controller).audit(1.2) == []
+
+    @pytest.mark.parametrize("lane", ["line", "frames"])
+    def test_durable_gateway_replays_duplicates_to_the_same_bytes(
+        self, tmp_path, lane
+    ):
+        register, lines, dups = _duplicate_script("locking")
+        register["policy"]["max_batch"] = 4
+        durable, _ = recover(tmp_path)
+        durable.handle_line(json.dumps(register))
+        got = _feed(durable, lines, lane)
+        pre_crash = registry_fingerprint(durable)
+        durable.close()
+
+        shadow = AdmissionGateway()
+        shadow.handle_line(json.dumps(register))
+        assert _feed(shadow, lines, lane) == got
+
+        recovered, _ = recover(tmp_path)
+        assert registry_fingerprint(recovered) == pre_crash
+        for k in dups:
+            # The retry is served from the recovered dedup window.
+            assert [line for _, line in recovered.handle_line(lines[k])] == [got[k]]
+        recovered.close()
 
 
 class TestBatchingDeferral:

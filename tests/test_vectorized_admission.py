@@ -1,21 +1,25 @@
-"""Differential suite for the vectorized ``admit_many`` fast path.
+"""Differential suite for the batched ``admit_many`` loop.
 
-The vectorized batch loop (:meth:`PipelineAdmissionController.
-_admit_many_fast`) hoists every batch-invariant read — the region
-budget, tracker values, the per-stage ``f(min(U_j, 1))`` cache — out of
-the per-task iteration, and inlines ``approx_ge`` /
-``stage_delay_factor`` / ``approx_le`` into one pass per candidate.
-The guarantee it must uphold (DESIGN.md §16): decisions, reported
-region values, and the final controller state are *bitwise identical*
-to deciding the same sequence one :meth:`request` call at a time.
+The batch loop (:meth:`PipelineAdmissionController._admit_many_fast`)
+hoists every batch-invariant read — the region budget (per arrival
+only when it declares critical sections on a locking controller),
+tracker values, the per-stage ``f(min(U_j, 1))`` cache — out of the
+per-task iteration, and inlines ``approx_ge`` / ``stage_delay_factor``
+/ ``approx_le`` into one pass per candidate.  The guarantee it must
+uphold (DESIGN.md §16): decisions, reported region values, and the
+final controller state are *bitwise identical* to deciding the same
+sequence one :meth:`request` call at a time, and to the per-task
+oracle loop :func:`tests.oracles.admit_many_scalar`.
 
 This suite replays seeded op streams — bursts sharing a timestamp,
 interleaved expiry, zero-cost stages, capacity rescales, locking
-controllers — through both paths and asserts equality decision for
+controllers — through all three and asserts equality decision for
 decision, plus ``registry_fingerprint`` equality for whole gateways
-whose only difference is the fast path being forcibly disabled.
+whose only difference is the batch loop being swapped for the oracle.
 """
 
+import dataclasses
+import json
 import math
 import random
 
@@ -29,8 +33,10 @@ from repro.core.admission import (
 from repro.core.task import make_task
 from repro.locking import ResourceSpec
 from repro.serve.gateway import AdmissionGateway
+from repro.serve.loadgen import build_contention_trace
 from repro.serve.protocol import encode, task_to_wire
 from repro.serve.recovery import registry_fingerprint
+from tests.oracles import admit_many_scalar
 
 NUM_STAGES = 3
 BATCH_SIZES = [1, 2, 32, 257]
@@ -99,17 +105,28 @@ def _assert_decisions_equal(batched, sequential):
         # float expression order of the scalar path.
         assert got.region_value == want.region_value
         assert got.shed == want.shed
+        assert got.duplicate == want.duplicate
+
+
+def _force_oracle(monkeypatch):
+    """Swap the batch loop for the per-task oracle loop."""
+    monkeypatch.setattr(
+        PipelineAdmissionController,
+        "_admit_many_fast",
+        lambda self, tasks, times: admit_many_scalar(self, tasks, times),
+    )
 
 
 def _run_differential(tasks, batch_size, make_controller, rescales=()):
-    """Oracle request() loop vs chunked admit_many on twin controllers.
+    """request() loop vs chunked admit_many vs chunked oracle loop.
 
     ``rescales`` is a list of ``(after_index, stage, capacity)``
-    triples applied to both controllers at the same trace position
-    (aligned to a batch boundary for the batched twin).
+    triples applied to every controller at the same trace position
+    (aligned to a batch boundary for the batched twins).
     """
     reference = make_controller()
     batched = make_controller()
+    oracle = make_controller()
     rescale_at = {after: (stage, cap) for after, stage, cap in rescales}
 
     sequential = []
@@ -120,16 +137,21 @@ def _run_differential(tasks, batch_size, make_controller, rescales=()):
             reference.rescale_stage_capacity(stage, cap)
 
     decisions = []
+    oracle_decisions = []
     done = 0
     for chunk in _chunks(tasks, batch_size):
         decisions.extend(batched.admit_many(chunk))
+        oracle_decisions.extend(admit_many_scalar(oracle, chunk))
         done += len(chunk)
         if done in rescale_at:
             stage, cap = rescale_at[done]
             batched.rescale_stage_capacity(stage, cap)
+            oracle.rescale_stage_capacity(stage, cap)
 
     _assert_decisions_equal(decisions, sequential)
+    _assert_decisions_equal(oracle_decisions, sequential)
     _assert_state_equal(reference, batched)
+    _assert_state_equal(reference, oracle)
     return reference, batched
 
 
@@ -196,7 +218,8 @@ class TestScalarOracle:
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_locking_controller_takes_scalar_path(self, batch_size):
-        """Locking falls back to the previewed-budget loop — still equal."""
+        """Locking runs the batch loop with per-arrival previewed
+        budgets — equal to request() and to the oracle loop."""
         tasks = _mixed_trace(71, 300, locking=True)
         reference, batched = _run_differential(
             tasks,
@@ -204,6 +227,49 @@ class TestScalarOracle:
             lambda: PipelineAdmissionController(NUM_STAGES, locking=True),
         )
         assert reference.betas is not None
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_locking_contention_with_rescales(self, batch_size):
+        """The contention trace (~60% critical sections on a two-lock
+        pool) through degraded capacities on a locking controller."""
+        tasks, _span, _horizon = build_contention_trace(5, 600)
+        boundary = -(-150 // batch_size) * batch_size
+        reference, _ = _run_differential(
+            tasks,
+            batch_size,
+            lambda: PipelineAdmissionController(2, alpha=0.9, locking=True),
+            rescales=[(boundary, 0, 0.6), (2 * boundary, 0, 1.0)],
+        )
+        assert any(reference.betas)
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("locking", [False, True])
+    def test_in_flight_ids_are_duplicates(self, batch_size, locking):
+        """Re-offered ids: in flight -> duplicate (nothing changes),
+        lapsed at or before the decision -> decided afresh."""
+        base = _mixed_trace(83, 240, locking=locking)
+        rng = random.Random(83)
+        tasks = []
+        for task in base:
+            if tasks and rng.random() < 0.3:
+                task = dataclasses.replace(
+                    task, task_id=rng.choice(tasks).task_id
+                )
+            tasks.append(task)
+        _run_differential(
+            tasks,
+            batch_size,
+            lambda: PipelineAdmissionController(NUM_STAGES, locking=locking),
+        )
+        fresh = PipelineAdmissionController(NUM_STAGES, locking=locking)
+        seen = set()
+        duplicates = readmitted = 0
+        for task in tasks:
+            decision = fresh.request(task, task.arrival_time)
+            duplicates += decision.duplicate
+            readmitted += decision.admitted and task.task_id in seen
+            seen.add(task.task_id)
+        assert duplicates and readmitted
 
     def test_saturating_burst_shares_reject_region_value(self):
         """Consecutive rejections at an unchanged region report the same
@@ -240,29 +306,7 @@ class TestScalarOracle:
 
 
 class TestProbeCache:
-    """Satellite 1: would_admit shares the derivation with request()."""
-
-    def test_probe_then_request_derives_once(self, monkeypatch):
-        calls = []
-        original = PipelineAdmissionController._candidate_budget
-
-        def counting(self, task):
-            calls.append(task.task_id)
-            return original(self, task)
-
-        monkeypatch.setattr(
-            PipelineAdmissionController, "_candidate_budget", counting
-        )
-        controller = PipelineAdmissionController(NUM_STAGES, locking=True)
-        tasks = _mixed_trace(5, 40, locking=True)
-        for task in tasks:
-            before = len(calls)
-            probe = controller.would_admit(task, task.arrival_time)
-            decision = controller.request(task, task.arrival_time)
-            assert probe == decision.admitted
-            # The probe's derivation is reused by request(): exactly one
-            # blocking preview per (probe, request) pair.
-            assert len(calls) == before + 1
+    """would_admit probes leave request() decisions untouched."""
 
     def test_probe_does_not_perturb_decisions(self):
         """Bitwise pin: interleaving probes changes nothing."""
@@ -271,9 +315,9 @@ class TestProbeCache:
         probed = PipelineAdmissionController(NUM_STAGES, locking=True)
         for task in tasks:
             want = plain.request(task, task.arrival_time)
-            probed.would_admit(task, task.arrival_time)
+            probe = probed.would_admit(task, task.arrival_time)
             got = probed.request(task, task.arrival_time)
-            assert got.admitted == want.admitted
+            assert probe == got.admitted == want.admitted
             assert got.region_value == want.region_value
         _assert_state_equal(plain, probed)
 
@@ -347,11 +391,7 @@ class TestGatewayFingerprint:
         fast = AdmissionGateway()
         fast_responses = self._drive(fast, tasks, batch)
 
-        monkeypatch.setattr(
-            PipelineAdmissionController,
-            "_admit_many_fast",
-            PipelineAdmissionController._admit_many_scalar,
-        )
+        _force_oracle(monkeypatch)
         scalar = AdmissionGateway()
         scalar_responses = self._drive(scalar, tasks, batch)
 
@@ -389,20 +429,79 @@ class TestGatewayFingerprint:
 
         fast = AdmissionGateway()
         fast_responses = drive(fast)
-        monkeypatch.setattr(
-            PipelineAdmissionController,
-            "_admit_many_fast",
-            PipelineAdmissionController._admit_many_scalar,
-        )
+        _force_oracle(monkeypatch)
         scalar = AdmissionGateway()
         scalar_responses = drive(scalar)
         assert fast_responses == scalar_responses
         assert registry_fingerprint(fast) == registry_fingerprint(scalar)
 
+    @pytest.mark.parametrize("batch", BATCH_SIZES)
+    def test_locking_contention_equal_forced_oracle(self, monkeypatch, batch):
+        """A locking contention pipeline, with a set_capacity rescale
+        deep enough to make repair_region sacrifice admitted tasks."""
+        tasks, _span, _horizon = build_contention_trace(9, 500)
+
+        def admit(task, request_id):
+            return encode(
+                {
+                    "op": "admit",
+                    "pipeline": "lock",
+                    "task": task_to_wire(task),
+                    "id": request_id,
+                }
+            )
+
+        def set_capacity(capacity, request_id):
+            return encode(
+                {
+                    "op": "set_capacity",
+                    "pipeline": "lock",
+                    "stage": 0,
+                    "capacity": capacity,
+                    "id": request_id,
+                }
+            )
+
+        lines = [
+            encode(
+                {
+                    "op": "register",
+                    "pipeline": "lock",
+                    "policy": {
+                        "num_stages": 2,
+                        "alpha": 0.9,
+                        "locking": True,
+                        "max_batch": batch,
+                    },
+                    "id": 0,
+                }
+            )
+        ]
+        lines.extend(admit(task, k + 1) for k, task in enumerate(tasks[:250]))
+        lines.append(set_capacity(0.2, 9000))
+        lines.extend(admit(task, k + 251) for k, task in enumerate(tasks[250:]))
+        lines.append(set_capacity(1.0, 9001))
+
+        def drive(gateway):
+            responses = []
+            for line in lines:
+                responses.extend(resp for _o, resp in gateway.handle_line(line))
+            responses.extend(resp for _o, resp in gateway.drain())
+            return responses
+
+        fast = AdmissionGateway()
+        fast_responses = drive(fast)
+        _force_oracle(monkeypatch)
+        oracle = AdmissionGateway()
+        oracle_responses = drive(oracle)
+        assert fast_responses == oracle_responses
+        assert registry_fingerprint(fast) == registry_fingerprint(oracle)
+        rescale = next(r for r in fast_responses if '"id":9000' in r)
+        assert json.loads(rescale)["sacrificed"]
+
     def test_locking_pipeline_fingerprint_stable(self):
-        """A locking pipeline takes the scalar loop by construction; the
-        batched gateway still fingerprints equal to an unbatched one
-        fed the same arrivals (batching changes when, never what)."""
+        """Two batched locking gateways fed the same arrivals
+        fingerprint equal (the batch loop is deterministic)."""
         tasks = _mixed_trace(31, 150, locking=True)
 
         def drive(gateway, batch):
