@@ -218,14 +218,15 @@ def test_admit_many_throughput(benchmark, count=TRACE_LEN):
 
 
 def test_gateway_handle_line_throughput(benchmark, count=TRACE_LEN):
-    """Full ingest stack at batch 32: frame -> fused decode -> batch-decide.
+    """Full ingest stack at batch 32: frame -> decode -> batch-decide.
 
     The ISSUE 10 acceptance point, measured over the production ingest
     route: the NDJSON payload arrives in 64 KiB socket-sized chunks,
-    ``NdjsonFramer`` splits them, and ``handle_frames`` runs the fused
-    bytes-to-decision lane (chunk-level huge-int screen, direct orjson
-    decode, inlined envelope checks, one-entry pipeline cache).
-    Admissions queue into batches of ``GATEWAY_MAX_BATCH`` so each
+    ``NdjsonFramer`` splits them, and ``handle_frames`` runs the one
+    ingest lane: ``decode_frames`` (chunk-level huge-int screen, direct
+    orjson decode of the frame bytes, the shared envelope check), then
+    the per-request step ``handle_request`` (dedup window, op count,
+    handler-table dispatch into ``_op_admit``).  Admissions queue into batches of ``GATEWAY_MAX_BATCH`` so each
     flush takes the vectorized ``admit_many`` fast path and the
     batched response encoder; the trailing partial batch is flushed by
     ``drain()``.  In smoke mode the measured wall time is compared to

@@ -28,27 +28,21 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from .protocol import (
     MAX_REQUEST_CHARS,
-    MAX_REQUEST_DEPTH,
     OPS,
-    PIPELINE_OPS,
+    Decoded,
     NdjsonFramer,
     ProtocolError,
-    _DIGIT_FOLD,
-    _FRAME_WS,
-    _OP_CANON,
-    _folded_holds_huge_int,
-    admit_response,
     admit_response_batch,
+    decode_frames,
+    decode_line,
     encode,
     error_response,
     frontier_from_wire,
     ok_response,
-    orjson,
-    parse_request,
     task_from_wire,
 )
 from .registry import Decided, PipelinePolicy, PipelineRegistry, ServedPipeline
@@ -105,10 +99,9 @@ DEFAULT_DEDUP_WINDOW = 1024
 #: (restored from serialized state); resolved lazily on first retry.
 _UNKNOWN_ID = object()
 
-#: Canonical op instances (``parse_request`` swaps every parsed op for
-#: its canonical string), so the dispatcher's hot comparisons are
-#: identity tests instead of string equality.
-_OP_ADMIT = OPS[OPS.index("admit")]
+#: The canonical ``health`` op (envelope validation swaps every parsed
+#: op for its canonical string), so the dispatcher's hot comparison is
+#: an identity test instead of string equality.
 _OP_HEALTH = OPS[OPS.index("health")]
 
 
@@ -123,7 +116,8 @@ class GatewayLike(Protocol):
     that performs real I/O (the durable journal) must keep it off the
     event loop there.  The sync variants remain the interface for
     in-process transports and recovery replay, where there is no loop
-    to stall.
+    to stall.  The server reads frames, so only the chunk entry point
+    has an async variant.
     """
 
     @property
@@ -139,8 +133,6 @@ class GatewayLike(Protocol):
     ) -> List[Routed]: ...
 
     def drain(self) -> List[Routed]: ...
-
-    async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]: ...
 
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
@@ -190,325 +182,130 @@ class AdmissionGateway:
         #: window[next(iter(window))]`` evicts the oldest — amortized
         #: O(1), cheaper per settle than ``OrderedDict``'s link juggling.
         self._rid_decided: Dict[str, List[Any]] = {}
-        #: op -> bound handler.  ``parse_request`` guarantees the op is
-        #: one of ``OPS``, so dispatch is one dict lookup instead of a
-        #: per-request ``getattr`` string build.
-        self._handlers: Dict[str, Callable[[Dict[str, Any], Any, List[Routed]], None]] = {
+        #: op -> bound handler.  Envelope validation guarantees the op
+        #: is one of ``OPS``, so dispatch is one dict lookup instead of
+        #: a per-request ``getattr`` string build.
+        self._handlers: Dict[
+            str, Callable[[Dict[str, Any], Any, List[Routed]], Optional[str]]
+        ] = {
             op: getattr(self, f"_op_{op}") for op in OPS
         }
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
 
     def handle_line(self, line: str, origin: Any = None) -> List[Routed]:
         """Process one request line; return routed response lines.
 
         Never raises for request content — malformed or unserviceable
-        requests produce an error response to ``origin``.  Handlers
-        accumulate responses into a shared list, so responses already
-        released by the request (batched admissions flushed by a
-        barrier operation) are still delivered when the operation
-        itself subsequently fails: the batch's decisions mutate
-        controller state, and the clients that queued them must see
-        them even though the failing request only gets an error.
+        requests produce an error response to ``origin``.
         """
-        request: Optional[Dict[str, Any]] = None
         routed: List[Routed] = []
-        try:
-            request = parse_request(line)
-            self._handle_request(request, origin, routed)
-        except ProtocolError as exc:
-            self.errors += 1
-            response = error_response(request, exc.code, exc.detail)
-            if request is not None:
-                self._settle(request, response)
-            routed.append((origin, response))
+        self.handle_request(decode_line(line), origin, routed)
         return routed
-
-    def _handle_request(
-        self, request: Dict[str, Any], origin: Any, routed: List[Routed]
-    ) -> None:
-        """Dispatch one parsed, envelope-validated request."""
-        op = request["op"]
-        # ``health`` is read-only and unjournaled, so its responses
-        # must stay out of the (durable) idempotency window.  The
-        # envelope validation guarantees any present rid is a
-        # string, so no type re-check is needed here.
-        if op is not _OP_HEALTH:
-            rid = request.get("rid")
-            if rid is not None:
-                entry = self._rid_decided.get(rid)
-                if entry is not None:
-                    # Idempotent retry of an already-decided
-                    # request: serve the cached decision without
-                    # re-running the operation (and without
-                    # counting it as a new op).  The window stays
-                    # in decision order — a hit must NOT refresh
-                    # the entry's position, because hits are served
-                    # without journaling and an LRU bump here could
-                    # never be reproduced by crash-recovery replay
-                    # (eviction order, and with it future dedup
-                    # decisions, would diverge from a never-crashed
-                    # gateway).
-                    self.dedup_hits += 1
-                    routed.append((origin, self._replay(entry, request)))
-                    return
-                if rid in self._rid_pending:
-                    # The original is still queued in an admission
-                    # batch; there is no decision to replay yet.
-                    # Not an ``errors`` increment — the client did
-                    # nothing wrong, it just retried too early.
-                    routed.append(
-                        (
-                            origin,
-                            error_response(
-                                request,
-                                "duplicate-request",
-                                f"request rid {rid!r} is still queued in "
-                                "an admission batch; retry after it is "
-                                "decided",
-                            ),
-                        )
-                    )
-                    return
-                self._rid_pending.add(rid)
-        op_counts = self.op_counts
-        op_counts[op] = op_counts.get(op, 0) + 1
-        if op is _OP_ADMIT:
-            # Admission fast lane: the dominant op, with the
-            # handler-table indirection and the barrier machinery
-            # of :meth:`_op_admit` bypassed.  Responses settle when
-            # their batch flushes (see :meth:`_emit_decided_into`).
-            if self.draining:
-                raise ProtocolError(
-                    "draining", "gateway is draining; no new admits"
-                )
-            pipeline = self.registry.get(request["pipeline"])
-            task = task_from_wire(request.get("task"))
-            decided = pipeline.admit((origin, request), task)
-            if decided:
-                self._emit_decided_into(decided, routed)
-        else:
-            self._handlers[op](request, origin, routed)
-            # Every non-admit handler appends the response
-            # answering *this* request last.
-            self._settle(request, routed[-1][1])
 
     def handle_frames(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Process a chunk of framed request lines in one fused pass.
+        """Process a chunk of framed request lines, in order.
 
-        Byte-equivalent — same responses, same order, same counters —
-        to decoding each frame (``utf-8``, ``errors="replace"``),
-        stripping it, skipping blanks, and calling :meth:`handle_line`
-        (the differential test in ``tests/test_serve_fastpath`` pins
-        this).  The fusion is where the per-line overhead of that loop
-        goes away for the dominant traffic:
-
-        - the accelerated decode runs straight off the frame *bytes*
-          (no ``str`` round trip; the ``{`` first-byte probe also
-          proves the parsed document is an object, and a byte length
-          within ``MAX_REQUEST_CHARS`` bounds the char length),
-        - the envelope validation and the admit dispatch are inlined
-          with the per-chunk invariants (``draining``, dedup window,
-          op counters, the target pipeline) hoisted out of the loop,
-        - the ``admit`` op count is accumulated locally and written
-          back at the first point it could be observed (a non-admit
-          request is a batch barrier, so deferral is unobservable),
-        - the pipeline lookup is cached across consecutive admits to
-          the same pipeline name, invalidated by anything that can
-          touch the registry (any non-fast-lane request).
-
-        Anything the fast lane cannot prove equivalent — non-``admit``
-        ops, lines needing the strict parser, decode fallbacks,
-        draining mode — drops back to the shared per-line machinery.
+        :func:`~repro.serve.protocol.decode_frames` decodes the chunk
+        (byte-equivalent to decoding, stripping and skipping blank
+        frames before :meth:`handle_line`), and each request takes the
+        same per-request step as :meth:`handle_line`.
         """
         routed: List[Routed] = []
-        loads = orjson.loads if orjson is not None else None
-        rid_decided_get = self._rid_decided.get
-        rid_pending = self._rid_pending
-        rid_pending_add = rid_pending.add
-        registry_get = self.registry.get
-        op_counts = self.op_counts
-        op_canon_get = _OP_CANON.get
-        admit_canon = _OP_ADMIT
-        max_chars = MAX_REQUEST_CHARS
-        max_depth = MAX_REQUEST_DEPTH
-        holds_huge = _folded_holds_huge_int
-        chunk_clean = False
-        if loads is not None and frames:
-            # One digit-fold + substring scan over the whole chunk
-            # instead of one per frame.  Frames carry no ``\n``, so the
-            # join separator breaks any digit run at a frame boundary:
-            # a run that would screen positive inside some frame is the
-            # same bytes here with the same (or a newline) predecessor,
-            # and both classify as a run start — a clean chunk therefore
-            # proves every frame clean.  A dirty chunk (rare: huge-int
-            # traffic) falls back to the per-frame screen below, which
-            # alone decides each frame's lane.
-            chunk_clean = not holds_huge(
-                b"\n".join(frames).translate(_DIGIT_FOLD)
-            )
-        draining = self.draining
-        pipeline_name: Optional[str] = None
-        pipeline: Optional[ServedPipeline] = None
-        admits = 0
-        for raw in frames:
-            request: Any = None
-            if loads is not None:
-                stripped = raw.strip(_FRAME_WS)
-                # A first byte of ``{`` (after ASCII-whitespace strip)
-                # guarantees ``str.strip`` of the decoded line is the
-                # same text, and that a successful parse is a dict.
-                # Brace counts need no digit fold — ``{``/``[`` cannot
-                # alias a folded byte.
-                if (
-                    stripped[:1] == b"{"
-                    and len(stripped) <= max_chars
-                    and stripped.count(b"{") + stripped.count(b"[") <= max_depth
-                    and (
-                        chunk_clean
-                        or not holds_huge(stripped.translate(_DIGIT_FOLD))
-                    )
-                ):
-                    try:
-                        request = loads(stripped)
-                    except Exception:
-                        request = None
-            if request is None:
-                # Exactly the per-line transport path this replaces.
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                if admits:
-                    op_counts[admit_canon] = (
-                        op_counts.get(admit_canon, 0) + admits
-                    )
-                    admits = 0
-                routed.extend(self.handle_line(line, origin=origin))
-                draining = self.draining
-                pipeline_name = None
-                continue
-            try:
-                # Envelope validation, inlined (same expressions and
-                # error bytes as ``parse_request``).  A failure here
-                # corresponds to ``parse_request`` raising in
-                # :meth:`handle_line` — where ``request`` is still
-                # ``None`` — so the error must NOT settle into the
-                # dedup window.
-                try:
-                    canon = op_canon_get(request.get("op"))
-                except TypeError:
-                    canon = None
-                if canon is None:
-                    op = request.get("op")
-                    raise ProtocolError(
-                        "unknown-op",
-                        f"op must be one of {', '.join(OPS)}; got {op!r}",
-                    )
-                request["op"] = canon
-                request_id = request.get("id")
-                if request_id is not None and not isinstance(
-                    request_id, (int, str)
-                ):
-                    raise ProtocolError(
-                        "bad-request", "id must be an integer or string"
-                    )
-                rid = request.get("rid")
-                if rid is not None and (
-                    not isinstance(rid, str) or not rid or len(rid) > 200
-                ):
-                    raise ProtocolError(
-                        "bad-request",
-                        "rid must be a non-empty string of at most 200 chars",
-                    )
-                if canon in PIPELINE_OPS and not isinstance(
-                    request.get("pipeline"), str
-                ):
-                    raise ProtocolError(
-                        "bad-request",
-                        f"op {canon!r} requires a string 'pipeline' operand",
-                    )
-            except ProtocolError as exc:
-                self.errors += 1
-                # ``None``, not ``request``: :meth:`handle_line` has no
-                # parsed request at this stage, so its error response
-                # carries no id/op echo.
-                routed.append(
-                    (origin, error_response(None, exc.code, exc.detail))
-                )
-                continue
-            try:
-                if canon is admit_canon and not draining:
-                    # Fused admit lane: _handle_request with the chunk
-                    # invariants hoisted.  Draining admits fall through
-                    # to _handle_request so the dedup-before-draining
-                    # order (a decided rid replays even while draining)
-                    # is decided by exactly one code path.
-                    if rid is not None:
-                        entry = rid_decided_get(rid)
-                        if entry is not None:
-                            self.dedup_hits += 1
-                            routed.append(
-                                (origin, self._replay(entry, request))
-                            )
-                            continue
-                        if rid in rid_pending:
-                            routed.append(
-                                (
-                                    origin,
-                                    error_response(
-                                        request,
-                                        "duplicate-request",
-                                        f"request rid {rid!r} is still "
-                                        "queued in an admission batch; "
-                                        "retry after it is decided",
-                                    ),
-                                )
-                            )
-                            continue
-                        rid_pending_add(rid)
-                    admits += 1
-                    name = request["pipeline"]
-                    if name != pipeline_name:
-                        pipeline = registry_get(name)
-                        pipeline_name = name
-                    task = task_from_wire(request.get("task"))
-                    decided = pipeline.admit((origin, request), task)
-                    if decided:
-                        self._emit_decided_into(decided, routed)
-                else:
-                    if admits:
-                        op_counts[admit_canon] = (
-                            op_counts.get(admit_canon, 0) + admits
-                        )
-                        admits = 0
-                    self._handle_request(request, origin, routed)
-                    draining = self.draining
-                    pipeline_name = None
-            except ProtocolError as exc:
-                self.errors += 1
-                response = error_response(request, exc.code, exc.detail)
-                self._settle(request, response)
-                routed.append((origin, response))
-                pipeline_name = None
-        if admits:
-            op_counts[admit_canon] = op_counts.get(admit_canon, 0) + admits
+        handle = self.handle_request
+        for request in decode_frames(frames):
+            handle(request, origin, routed)
         return routed
+
+    def handle_request(
+        self, request: Decoded, origin: Any, routed: List[Routed]
+    ) -> None:
+        """The per-request step of every ingest entry point.
+
+        ``request`` is a decoded, envelope-validated request, or the
+        :class:`ProtocolError` its line failed to decode with (answered
+        without an ``id``/``op`` echo, and never settled: there is no
+        parsed ``rid``).  A request is checked against the dedup window,
+        counted, and dispatched through the handler table; a handler's
+        return value is the response answering it (``admit`` returns
+        ``None``: its response settles when its batch flushes, see
+        :meth:`_emit_decided_into`).  Handlers append released batch
+        responses into ``routed`` as they go, so responses a barrier
+        operation flushed are still delivered when the operation itself
+        then fails: the batch's decisions mutated controller state, and
+        the clients that queued them must see them even though the
+        failing request only gets an error.
+        """
+        if isinstance(request, ProtocolError):
+            self.errors += 1
+            routed.append(
+                (origin, error_response(None, request.code, request.detail))
+            )
+            return
+        try:
+            op = request["op"]
+            # ``health`` is read-only and unjournaled, so its responses
+            # must stay out of the (durable) idempotency window.  The
+            # envelope validation guarantees any present rid is a
+            # string, so no type re-check is needed here.
+            if op is not _OP_HEALTH:
+                rid = request.get("rid")
+                if rid is not None:
+                    entry = self._rid_decided.get(rid)
+                    if entry is not None:
+                        # Idempotent retry of an already-decided
+                        # request: serve the cached decision without
+                        # re-running the operation (and without
+                        # counting it as a new op).  The window stays
+                        # in decision order — a hit must NOT refresh
+                        # the entry's position, because hits are served
+                        # without journaling and an LRU bump here could
+                        # never be reproduced by crash-recovery replay
+                        # (eviction order, and with it future dedup
+                        # decisions, would diverge from a never-crashed
+                        # gateway).
+                        self.dedup_hits += 1
+                        routed.append((origin, self._replay(entry, request)))
+                        return
+                    if rid in self._rid_pending:
+                        # The original is still queued in an admission
+                        # batch; there is no decision to replay yet.
+                        # Not an ``errors`` increment — the client did
+                        # nothing wrong, it just retried too early.
+                        routed.append(
+                            (
+                                origin,
+                                error_response(
+                                    request,
+                                    "duplicate-request",
+                                    f"request rid {rid!r} is still queued in "
+                                    "an admission batch; retry after it is "
+                                    "decided",
+                                ),
+                            )
+                        )
+                        return
+                    self._rid_pending.add(rid)
+            op_counts = self.op_counts
+            op_counts[op] = op_counts.get(op, 0) + 1
+            response = self._handlers[op](request, origin, routed)
+        except ProtocolError as exc:
+            self.errors += 1
+            response = error_response(request, exc.code, exc.detail)
+        if response is not None:
+            self._settle(request, response)
+            routed.append((origin, response))
 
     def drain(self) -> List[Routed]:
         """Flush every pipeline's pending batch (shutdown path)."""
         routed: List[Routed] = []
         for pipeline in self.registry:
-            routed.extend(self._emit_decided(pipeline.flush()))
+            self._emit_decided_into(pipeline.flush(), routed)
         return routed
-
-    async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]:
-        """Async facade over :meth:`handle_line` — the core is pure
-        compute, so there is nothing to offload."""
-        return self.handle_line(line, origin=origin)
 
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
@@ -605,16 +402,6 @@ class AdmissionGateway:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _pipeline(self, request: Dict[str, Any]) -> ServedPipeline:
-        return self.registry.get(request["pipeline"])
-
-    def _emit_decided(self, decided: List[Decided]) -> List[Routed]:
-        """Render decided admissions as responses routed to their origins."""
-        routed: List[Routed] = []
-        if decided:
-            self._emit_decided_into(decided, routed)
-        return routed
-
     def _emit_decided_into(
         self, decided: List[Decided], routed: List[Routed]
     ) -> None:
@@ -628,6 +415,8 @@ class AdmissionGateway:
         hoisted — admit tokens always carry a parsed non-``health``
         request, so the per-response op/type re-checks drop out.
         """
+        if not decided:
+            return
         items = []
         iappend = items.append
         for token, _task, decision in decided:
@@ -678,118 +467,87 @@ class AdmissionGateway:
         (handlers validate their operands first, but some failures —
         e.g. a time regression — are only detectable afterwards).
         """
-        pipeline = self._pipeline(request)
-        routed.extend(self._emit_decided(pipeline.flush()))
+        pipeline = self.registry.get(request["pipeline"])
+        self._emit_decided_into(pipeline.flush(), routed)
         return pipeline
 
     # ------------------------------------------------------------------
-    # Operations
+    # Operations: each returns the response answering its request
     # ------------------------------------------------------------------
 
-    def _op_health(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_health(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         extra = self.health_extra() if self.health_extra is not None else {}
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    pipelines=sorted(self.registry.names()),
-                    draining=self.draining,
-                    errors=self.errors,
-                    dedup_hits=self.dedup_hits,
-                    **extra,
-                ),
-            )
+        return ok_response(
+            request,
+            pipelines=sorted(self.registry.names()),
+            draining=self.draining,
+            errors=self.errors,
+            dedup_hits=self.dedup_hits,
+            **extra,
         )
 
-    def _op_register(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_register(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         policy = PipelinePolicy.from_dict(request.get("policy"))
         pipeline = self.registry.register(request["pipeline"], policy)
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    pipeline=pipeline.name,
-                    region_budget=pipeline.controller.budget,
-                ),
-            )
+        return ok_response(
+            request, pipeline=pipeline.name, region_budget=pipeline.controller.budget
         )
 
-    def _op_unregister(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_unregister(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         pipeline = self._barrier(request, routed)
         self.registry.unregister(pipeline.name)
-        routed.append((origin, ok_response(request, pipeline=pipeline.name)))
+        return ok_response(request, pipeline=pipeline.name)
 
     def _op_admit(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
-        pipeline = self._pipeline(request)
+        if self.draining:
+            raise ProtocolError("draining", "gateway is draining; no new admits")
+        pipeline = self.registry.get(request["pipeline"])
         task = task_from_wire(request.get("task"))
-        token = (origin, request)
-        routed.extend(self._emit_decided(pipeline.admit(token, task)))
+        decided = pipeline.admit((origin, request), task)
+        if decided:  # most admits only queue: skip the call
+            self._emit_decided_into(decided, routed)
 
-    def _op_depart(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_depart(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         task_id = _task_id_operand(request)
         stage = _stage_operand(request)
         pipeline = self._barrier(request, routed)
         pipeline.depart(task_id, stage)
-        routed.append((origin, ok_response(request)))
+        return ok_response(request)
 
-    def _op_idle(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_idle(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         stage = _stage_operand(request)
         pipeline = self._barrier(request, routed)
         released = pipeline.idle(stage)
-        routed.append((origin, ok_response(request, released=released)))
+        return ok_response(request, released=released)
 
-    def _op_expire(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_expire(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         now = _time_operand(request)
         pipeline = self._barrier(request, routed)
         pipeline.expire(now)
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request, region_value=pipeline.controller.region_value()
-                ),
-            )
-        )
+        return ok_response(request, region_value=pipeline.controller.region_value())
 
-    def _op_capacity(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
-        value = request.get("capacity")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError("bad-request", "capacity must be a number")
+    def _op_capacity(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
+        value = _capacity_operand(request)
         stage = _stage_operand(request)
         pipeline = self._barrier(request, routed)
         pipeline.set_capacity(stage, float(value))
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    capacities=list(pipeline.controller.stage_capacities()),
-                ),
-            )
+        return ok_response(
+            request, capacities=list(pipeline.controller.stage_capacities())
         )
 
-    def _op_set_capacity(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
-        value = request.get("capacity")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError("bad-request", "capacity must be a number")
+    def _op_set_capacity(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
+        value = _capacity_operand(request)
         stage = _stage_operand(request)
         pipeline = self._barrier(request, routed)
         summary = pipeline.rescale_capacity(stage, float(value))
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    capacities=list(pipeline.controller.stage_capacities()),
-                    sacrificed=summary["sacrificed"],
-                    region_value=summary["region_value"],
-                ),
-            )
+        return ok_response(
+            request,
+            capacities=list(pipeline.controller.stage_capacities()),
+            sacrificed=summary["sacrificed"],
+            region_value=summary["region_value"],
         )
 
-    def _op_report(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_report(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         kind = request.get("kind")
         if not isinstance(kind, str):
             raise ProtocolError("bad-request", "'kind' must be a string")
@@ -801,43 +559,31 @@ class AdmissionGateway:
         stage = _stage_operand(request)
         pipeline = self._barrier(request, routed)
         result = pipeline.report_observation(stage, kind, ratio)
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    confirmed=result["confirmed"],
-                    capacity=result["capacity"],
-                    sacrificed=result["sacrificed"],
-                ),
-            )
+        return ok_response(
+            request,
+            confirmed=result["confirmed"],
+            capacity=result["capacity"],
+            sacrificed=result["sacrificed"],
         )
 
-    def _op_resync(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_resync(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         now = _time_operand(request)
         frontier = frontier_from_wire(request.get("frontier", {}))
         pipeline = self._barrier(request, routed)
         report = pipeline.resync(now, frontier)
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    report=report,
-                    region_value=pipeline.controller.region_value(),
-                ),
-            )
+        return ok_response(
+            request, report=report, region_value=pipeline.controller.region_value()
         )
 
-    def _op_snapshot(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_snapshot(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         pipeline = self._barrier(request, routed)
         try:
             snapshot = pipeline.snapshot()
         except ValueError as exc:
             raise ProtocolError("bad-snapshot", str(exc)) from exc
-        routed.append((origin, ok_response(request, snapshot=snapshot)))
+        return ok_response(request, snapshot=snapshot)
 
-    def _op_restore(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_restore(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         name = request["pipeline"]
         pipeline = ServedPipeline.from_snapshot(request.get("snapshot"), name=name)
         check_at = pipeline.clock if pipeline.clock is not None else 0.0
@@ -848,43 +594,34 @@ class AdmissionGateway:
                 "; ".join(f"{v.kind}: {v.detail}" for v in violations),
             )
         self.registry.adopt(pipeline)
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    pipeline=name,
-                    audited=True,
-                    region_value=pipeline.controller.region_value(),
-                ),
-            )
+        return ok_response(
+            request,
+            pipeline=name,
+            audited=True,
+            region_value=pipeline.controller.region_value(),
         )
 
-    def _op_stats(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_stats(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         name = request.get("pipeline")
         if name is not None:
             if not isinstance(name, str):
                 raise ProtocolError("bad-request", "pipeline must be a string")
-            pipeline = self._barrier({"pipeline": name}, routed)
-            stats = {name: pipeline.stats()}
+            stats = {name: self._barrier({"pipeline": name}, routed).stats()}
         else:
-            for pipeline in self.registry:
-                routed.extend(self._emit_decided(pipeline.flush()))
+            routed.extend(self.drain())
             stats = {p.name: p.stats() for p in self.registry}
-        routed.append(
-            (
-                origin,
-                ok_response(
-                    request,
-                    ops=dict(sorted(self.op_counts.items())),
-                    stats=stats,
-                ),
-            )
-        )
+        return ok_response(request, ops=dict(sorted(self.op_counts.items())), stats=stats)
 
-    def _op_drain(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> None:
+    def _op_drain(self, request: Dict[str, Any], origin: Any, routed: List[Routed]) -> str:
         routed.extend(self.drain())
-        routed.append((origin, ok_response(request, drained=True)))
+        return ok_response(request, drained=True)
+
+
+def _capacity_operand(request: Dict[str, Any]) -> Union[int, float]:
+    value = request.get("capacity")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProtocolError("bad-request", "capacity must be a number")
+    return value
 
 
 def _time_operand(request: Dict[str, Any]) -> float:
@@ -1053,7 +790,9 @@ class GatewayServer:
         the slowest socket.  Responses are grouped by origin — order
         preserved within each connection, which is the only ordering the
         protocol promises — and each connection gets a single buffered
-        write followed by a single backpressure ``drain()``.
+        write followed by a single backpressure ``drain()``.  A peer
+        whose write or drain fails (reset, broken pipe) is closed and
+        dropped; the other connections in the flush still get theirs.
         """
         if not routed:
             return
@@ -1064,8 +803,12 @@ class GatewayServer:
             writer = self._writers.get(origin)
             if writer is None or writer.is_closing():
                 continue
-            writer.write(("\n".join(responses) + "\n").encode("utf-8"))
-            await writer.drain()
+            try:
+                writer.write(("\n".join(responses) + "\n").encode("utf-8"))
+                await writer.drain()
+            except ConnectionError:
+                self._writers.pop(origin, None)
+                writer.close()
 
 
 async def serve_forever(

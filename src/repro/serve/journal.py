@@ -57,7 +57,14 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .gateway import AdmissionGateway, Routed
-from .protocol import OPS, ProtocolError, error_response, parse_request
+from .protocol import (
+    OPS,
+    Decoded,
+    ProtocolError,
+    decode_frames,
+    decode_line,
+    error_response,
+)
 
 __all__ = [
     "GATEWAY_SNAPSHOT_FORMAT",
@@ -411,14 +418,6 @@ def write_gateway_snapshot(
         raise
 
 
-def _frame_lines(frames: Sequence[bytes]) -> Iterator[str]:
-    """The decoded, stripped, non-blank request lines of a framed chunk."""
-    for raw in frames:
-        line = raw.decode("utf-8", errors="replace").strip()
-        if line:
-            yield line
-
-
 class DurableGateway:
     """A write-ahead-journaled wrapper around :class:`AdmissionGateway`.
 
@@ -494,20 +493,17 @@ class DurableGateway:
     def registry(self) -> Any:
         return self.gateway.registry
 
-    def _journaled_request(self, line: str) -> Optional[Dict[str, Any]]:
-        """The parsed request to journal before dispatch, or ``None``.
+    def _journaled_request(self, request: Decoded) -> Optional[Dict[str, Any]]:
+        """The decoded request to journal before dispatch, or ``None``.
 
-        ``None`` covers the bypass cases: unparseable lines (only bump
-        the error counter — counters are diagnostics, not part of the
-        durability contract), non-mutating ops, and idempotent retries
-        already decided in the dedup window (journaling a retry would
-        replay a second, state-mutating copy of the op).
+        ``None`` covers the bypass cases: lines that failed to decode
+        (only bump the error counter — counters are diagnostics, not
+        part of the durability contract), non-mutating ops, and
+        idempotent retries already decided in the dedup window
+        (journaling a retry would replay a second, state-mutating copy
+        of the op).
         """
-        try:
-            request = parse_request(line)
-        except ProtocolError:
-            return None
-        if request.get("op") not in JOURNALED_OPS:
+        if isinstance(request, ProtocolError) or request["op"] not in JOURNALED_OPS:
             return None
         rid = request.get("rid")
         if isinstance(rid, str) and self.gateway.dedup_status(rid) != "unknown":
@@ -516,49 +512,46 @@ class DurableGateway:
 
     # -- The group-commit lane ----------------------------------------
 
-    def _refusal(self, line: str) -> str:
-        try:
-            request: Optional[Dict[str, Any]] = parse_request(line)
-        except ProtocolError:
-            request = None
-        return error_response(request, "journal-failed", str(self.failed))
-
     def _lane(
-        self, lines: Iterable[Optional[str]], origin: Any, routed: List[Routed]
+        self, requests: Iterable[Optional[Decoded]], origin: Any, routed: List[Routed]
     ) -> Iterator[Tuple[List[str], bool]]:
-        """Decide ``lines`` in order; yield each group commit.
+        """Decide decoded ``requests`` in order; yield each group commit.
 
-        A ``None`` line stands for a synthetic drain.  Each mutating
-        line's record is encoded under the next ``seq`` *before* the
+        A ``None`` request stands for a synthetic drain.  Each mutating
+        request's record is encoded under the next ``seq`` *before* the
         core dispatches it, and the records accumulate until the
         generator yields ``(records, compact)``: the caller must write
         them (and compact when asked) before resuming it, and must not
         release any response in ``routed`` before the final commit.
-        Compaction falls due after exactly the lines where the per-line
-        write-ahead order compacts, so snapshots land on the same
-        sequence numbers whatever the chunking.
+        Compaction falls due after exactly the requests where the
+        per-line write-ahead order compacts, so snapshots land on the
+        same sequence numbers whatever the chunking.
         """
         records: List[str] = []
-        for line in lines:
+        handle = self.gateway.handle_request
+        for request in requests:
             if self.failed is not None:
-                if line is not None:
-                    routed.append((origin, self._refusal(line)))
+                if request is not None:
+                    echo = None if isinstance(request, ProtocolError) else request
+                    routed.append(
+                        (origin, error_response(echo, "journal-failed", self.failed))
+                    )
                 continue
-            if line is None:
+            if request is None:
                 if not any(pipeline.pending for pipeline in self.gateway.registry):
                     continue
-                request: Optional[Dict[str, Any]] = _DRAIN_RECORD
+                record: Optional[Dict[str, Any]] = _DRAIN_RECORD
             else:
-                request = self._journaled_request(line)
-                if request is None:
-                    routed.extend(self.gateway.handle_line(line, origin))
+                record = self._journaled_request(request)
+                if record is None:
+                    handle(request, origin, routed)
                     continue
-            records.append(self.journal.record(request))
+            records.append(self.journal.record(record))
             try:
-                if line is None:
+                if request is None:
                     routed.extend(self.gateway.drain())
                 else:
-                    routed.extend(self.gateway.handle_line(line, origin))
+                    handle(request, origin, routed)
             except BaseException:
                 # The op may have mutated state: its record (and those
                 # before it) must still reach the journal.
@@ -589,35 +582,41 @@ class DurableGateway:
         if compact:
             self.compact()
 
-    def _run(self, lines: Iterable[Optional[str]], origin: Any = None) -> List[Routed]:
+    def _run(
+        self, requests: Iterable[Optional[Decoded]], origin: Any = None
+    ) -> List[Routed]:
         routed: List[Routed] = []
-        for records, compact in self._lane(lines, origin, routed):
+        for records, compact in self._lane(requests, origin, routed):
             self._commit(records, compact)
         return routed
 
     async def _run_async(
-        self, lines: Iterable[Optional[str]], origin: Any = None
+        self, requests: Iterable[Optional[Decoded]], origin: Any = None
     ) -> List[Routed]:
         routed: List[Routed] = []
         loop = asyncio.get_running_loop()
-        for records, compact in self._lane(lines, origin, routed):
+        for records, compact in self._lane(requests, origin, routed):
             await loop.run_in_executor(None, self._commit, records, compact)
         return routed
 
     def handle_line(self, line: str, origin: Any = None) -> List[Routed]:
         """Journal (when mutating) then dispatch one request line."""
-        return self._run([line], origin)
+        return self._run([decode_line(line)], origin)
 
     def handle_frames(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
-        """Decide a framed chunk line by line; commit its records at once.
+        """Decide a framed chunk request by request; commit its records
+        at once.
 
-        Byte-identical — responses, journal, snapshots — to calling
-        :meth:`handle_line` on each decoded, stripped, non-blank frame;
-        only the number of writes changes.
+        Each frame is decoded once, by the core's own frame decoder
+        (:func:`~repro.serve.protocol.decode_frames`), and the decoded
+        request is both journaled and dispatched.  Byte-identical —
+        responses, journal, snapshots — to calling :meth:`handle_line`
+        on each decoded, stripped, non-blank frame; only the number of
+        writes changes.
         """
-        return self._run(_frame_lines(frames), origin)
+        return self._run(decode_frames(frames), origin)
 
     def drain(self) -> List[Routed]:
         """Journal a synthetic drain record, then flush pending batches.
@@ -632,19 +631,19 @@ class DurableGateway:
     async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]:
         """Event-loop-safe :meth:`handle_line`: the journal write (and
         any compaction) runs in the default executor."""
-        return await self._run_async([line], origin)
+        return await self._run_async([decode_line(line)], origin)
 
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:
         """Event-loop-safe :meth:`handle_frames`: each group commit is
-        one executor hop, and the lines are decided on the loop.
+        one executor hop, and the requests are decided on the loop.
 
         The server's dispatch lock must be held across this call *and*
         the delivery of its responses: no other coroutine may dispatch
         while a commit is in flight.
         """
-        return await self._run_async(_frame_lines(frames), origin)
+        return await self._run_async(decode_frames(frames), origin)
 
     async def drain_async(self) -> List[Routed]:
         """Event-loop-safe :meth:`drain` (one executor hop)."""

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.task import PipelineTask, make_task
 from ..locking.model import resources_from_wire, resources_to_wire
@@ -77,7 +77,10 @@ __all__ = [
     "MAX_REQUEST_DEPTH",
     "NdjsonFramer",
     "ProtocolError",
+    "Decoded",
     "parse_request",
+    "decode_line",
+    "decode_frames",
     "encode",
     "ok_response",
     "admit_response",
@@ -87,7 +90,6 @@ __all__ = [
     "task_from_wire",
     "frontier_from_wire",
     "json_safe",
-    "rewrite_response_id",
 ]
 
 #: Every operation the gateway dispatches, in documentation order.
@@ -214,8 +216,8 @@ _DOT = 0x2E
 #: ``{`` after stripping these bytes decodes to a line whose
 #: ``str.strip`` result is that same stripped text: any *unicode*
 #: whitespace would have to sit inside the braces, where ``strip``
-#: cannot reach it.  The gateway's fused frame lane relies on this to
-#: skip the ``bytes -> str -> strip`` round trip per line.
+#: cannot reach it.  :func:`decode_frames` relies on this to skip the
+#: ``bytes -> str -> strip`` round trip per line.
 _FRAME_WS = b" \t\r\x0b\x0c"
 
 
@@ -241,16 +243,6 @@ def _folded_holds_huge_int(folded: bytes) -> bool:
         pos = folded.find(_HUGE_POSITIVE_RUN, pos + 1)
     return folded.find(_HUGE_NEGATIVE_RUN) >= 0
 
-
-def _may_hold_huge_int(line: str) -> bool:
-    """Whether ``line`` may contain an integer token the accelerator
-    would round (see :data:`_DIGIT_FOLD`); unencodable lines screen
-    positive so the strict path owns their error bytes."""
-    try:
-        folded = line.encode("utf-8").translate(_DIGIT_FOLD)
-    except UnicodeEncodeError:
-        return True
-    return _folded_holds_huge_int(folded)
 
 #: Canonical (interned) instance per op name.  parse_request swaps the
 #: freshly parsed op string for the canonical one so every downstream
@@ -299,7 +291,7 @@ def parse_request(line: str) -> Dict[str, Any]:
     within the size limit, its total ``{``/``[`` count bounds nesting
     at :data:`MAX_REQUEST_DEPTH` (each nesting level spends at least
     one opening bracket), and it carries no integer token the
-    accelerator would round (see :func:`_may_hold_huge_int`).  The
+    accelerator would round (see :data:`_DIGIT_FOLD`).  The
     accelerator rejects
     ``Infinity``/``NaN`` literals *and* overflowing numbers like
     ``1e999`` outright, so a successful accelerated parse needs no
@@ -347,42 +339,86 @@ def parse_request(line: str) -> Dict[str, Any]:
                 raise ProtocolError(
                     "bad-request", "request must be a JSON object"
                 )
-            # _validate_envelope, inlined (the call and its re-gets
-            # are measurable at admission line rate); the strict path
-            # below still routes through the shared function.
-            try:
-                canon = _OP_CANON.get(request.get("op"))
-            except TypeError:
-                canon = None
-            if canon is None:
-                op = request.get("op")
-                raise ProtocolError(
-                    "unknown-op",
-                    f"op must be one of {', '.join(OPS)}; got {op!r}",
-                )
-            request["op"] = canon
-            request_id = request.get("id")
-            if request_id is not None and not isinstance(request_id, (int, str)):
-                raise ProtocolError(
-                    "bad-request", "id must be an integer or string"
-                )
-            rid = request.get("rid")
-            if rid is not None and (
-                not isinstance(rid, str) or not rid or len(rid) > 200
-            ):
-                raise ProtocolError(
-                    "bad-request",
-                    "rid must be a non-empty string of at most 200 chars",
-                )
-            if canon in PIPELINE_OPS and not isinstance(
-                request.get("pipeline"), str
-            ):
-                raise ProtocolError(
-                    "bad-request",
-                    f"op {canon!r} requires a string 'pipeline' operand",
-                )
-            return request
+            return _validate_envelope(request)
     return _parse_request_strict(line)
+
+
+#: One decoded request: the validated request object, or the
+#: :class:`ProtocolError` its line failed with (the gateway answers it
+#: without an ``id``/``op`` echo and never settles it for dedup).
+Decoded = Union[Dict[str, Any], ProtocolError]
+
+
+def decode_line(line: str) -> Decoded:
+    """:func:`parse_request`, with the error returned instead of raised."""
+    try:
+        return parse_request(line)
+    except ProtocolError as exc:
+        return exc
+
+
+def decode_frames(frames: Sequence[bytes]) -> Iterator[Decoded]:
+    """Decode a chunk of framed request lines, in order.
+
+    The one frame decoder of the gateway's ingest lane.  Equal, item
+    for item, to decoding each frame (``utf-8``, ``errors="replace"``),
+    stripping it, skipping blanks and calling :func:`decode_line` (the
+    differential tests in ``tests/test_serve_fastpath`` pin this), but
+    the dominant frame never becomes a ``str``:
+
+    - the :data:`_FRAME_WS` strip and the ``{`` first-byte probe stand
+      in for ``str.strip`` and prove a successful parse is an object;
+      a byte length within :data:`MAX_REQUEST_CHARS` bounds the char
+      length, and the bracket count screens depth as in
+      :func:`parse_request`;
+    - one digit fold + substring scan over the whole chunk replaces
+      the per-frame huge-int screen.  Frames carry no ``\\n``, so the
+      join separator breaks any digit run at a frame boundary: a run
+      that would screen positive inside some frame is the same bytes
+      here with the same (or a newline) predecessor, and both classify
+      as a run start — a clean chunk therefore proves every frame
+      clean.  A dirty chunk (rare: huge-int traffic) falls back to the
+      per-frame screen, which alone decides each frame's lane;
+    - the accelerator decodes the stripped bytes directly.
+
+    Any frame the screens or the accelerator refuse is decoded exactly
+    as above (``str`` round trip, then :func:`parse_request`).
+    """
+    loads = orjson.loads if orjson is not None else None
+    clean = loads is not None and not _folded_holds_huge_int(
+        b"\n".join(frames).translate(_DIGIT_FOLD)
+    )
+    for raw in frames:
+        request: Any = None
+        if loads is not None:
+            stripped = raw.strip(_FRAME_WS)
+            # ``{``/``[`` cannot alias a folded byte, so the brace
+            # count needs no digit fold.
+            if (
+                stripped[:1] == b"{"
+                and len(stripped) <= MAX_REQUEST_CHARS
+                and stripped.count(b"{") + stripped.count(b"[")
+                <= MAX_REQUEST_DEPTH
+                and (
+                    clean
+                    or not _folded_holds_huge_int(stripped.translate(_DIGIT_FOLD))
+                )
+            ):
+                try:
+                    request = loads(stripped)
+                except Exception:
+                    request = None
+        try:
+            if request is not None:
+                request = _validate_envelope(request)
+            else:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                request = parse_request(line)
+        except ProtocolError as exc:
+            request = exc
+        yield request
 
 
 def _parse_request_strict(line: str) -> Dict[str, Any]:
@@ -651,18 +687,6 @@ def admit_response_batch(
                 + "}"
             )
     return out
-
-
-def rewrite_response_id(line: str, request: Dict[str, Any]) -> str:
-    """Re-encode a cached response with the retry request's ``id`` echo.
-
-    Deduplicated retries receive the originally computed response, but
-    the retry correlates replies by its *own* request id — only the
-    ``id`` field is rewritten; the decision payload is untouched.
-    """
-    doc = json.loads(line)
-    doc["id"] = request.get("id")
-    return encode(doc)
 
 
 def error_response(

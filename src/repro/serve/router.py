@@ -314,12 +314,6 @@ class ShardGateway:
     def drain(self) -> List[Routed]:
         return self.inner.drain()
 
-    async def handle_line_async(self, line: str, origin: Any = None) -> List[Routed]:
-        bounce = self._bounce(line)  # pure compute, loop-safe
-        if bounce is not None:
-            return [(origin, bounce)]
-        return await self.inner.handle_line_async(line, origin)
-
     async def handle_frames_async(
         self, frames: Sequence[bytes], origin: Any = None
     ) -> List[Routed]:

@@ -10,6 +10,7 @@ write+drain per connection.
 """
 
 import asyncio
+import hashlib
 import json
 import math
 import socket
@@ -27,9 +28,26 @@ from repro.serve.protocol import (
     ok_response,
     task_to_wire,
 )
+from repro.serve.recovery import recover, registry_fingerprint
 
 NUM_STAGES = 2
 BATCHED = {"num_stages": NUM_STAGES, "max_batch": 3}
+
+#: sha256 of ``TestHandleFramesDifferential``'s trace results, recorded
+#: on the two-lane gateway (separate fused ``handle_frames`` and
+#: per-line ``handle_line`` paths, journal re-parsing every line).
+TRACE_SHA256 = (
+    "51d65eaa60885516d91904dbddd09cd94ebc8e95a799340cae43a84f2f4eaa53"
+)
+DURABLE_TRACE_SHA256 = (
+    "78986c4e2f0610bd8e56e19ef42652f005c0283fb79f58deb3f57de09f298c39"
+)
+
+
+def _sha256(value):
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
 
 IDS = [
     None,
@@ -272,6 +290,23 @@ class TestCoalescedDelivery:
         self._deliver([], {0: writer})
         assert writer.chunks == [] and writer.drains == 0
 
+    @pytest.mark.parametrize("error", [ConnectionResetError, BrokenPipeError])
+    def test_reset_peer_does_not_drop_other_peers(self, error):
+        class _ResetWriter(_RecordingWriter):
+            async def drain(self):
+                raise error("peer went away")
+
+            def close(self):
+                self.closing = True
+
+        reset, healthy = _ResetWriter(), _RecordingWriter()
+        server = GatewayServer()
+        server._writers = {1: reset, 2: healthy}
+        asyncio.run(server._deliver([(1, "a"), (2, "b"), (1, "c")]))
+        assert healthy.chunks == [b"b\n"] and healthy.drains == 1
+        assert reset.closing and 1 not in server._writers
+        assert server._writers == {2: healthy}
+
     def test_batched_admissions_arrive_in_order_over_tcp(self):
         """A batch flush (3 responses released at once) reaches the
         socket as parseable, correctly ordered NDJSON."""
@@ -431,6 +466,31 @@ class TestHandleFramesDifferential:
         # The trace actually exercised both lanes and both replays.
         assert fused_state["errors"] > 0
         assert fused_state["dedup_hits"] >= 3
+
+    def test_trace_bytes_are_pinned(self):
+        """The lane's responses and counters over the trace are the
+        bytes recorded before ``handle_line`` and ``handle_frames``
+        shared one per-request step (the mirror above no longer checks
+        an independent path)."""
+        routed, state = self._run(
+            lambda g, frames: g.handle_frames(frames, origin="conn")
+        )
+        assert _sha256([routed, state]) == TRACE_SHA256
+
+    def test_durable_trace_bytes_are_pinned(self, tmp_path):
+        """The same trace through a durable gateway: responses, journal
+        bytes and registry fingerprint, pinned before the journal
+        started passing parsed requests to the core."""
+        durable, _report = recover(tmp_path)
+        routed = []
+        for chunk in self._trace():
+            routed.extend(durable.handle_frames(chunk, origin="conn"))
+        fingerprint = registry_fingerprint(durable)
+        durable.close()
+        journal = (tmp_path / "journal.ndjson").read_bytes()
+        assert _sha256(
+            [routed, journal.decode("utf-8"), fingerprint]
+        ) == DURABLE_TRACE_SHA256
 
     def test_empty_and_blank_chunks(self):
         gateway = AdmissionGateway()

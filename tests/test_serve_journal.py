@@ -21,7 +21,7 @@ from repro.serve.journal import (
     record_crc,
     scan_journal,
 )
-from repro.serve.protocol import OPS
+from repro.serve.protocol import OPS, decode_line
 from repro.serve.recovery import recover, registry_fingerprint
 
 
@@ -296,7 +296,7 @@ class TestAsyncOffload:
         twin = AdmissionGateway()
 
         async def run():
-            routed = await gateway.handle_line_async(line)
+            routed = await gateway.handle_frames_async([line.encode()])
             routed += await gateway.drain_async()
             return routed
 
@@ -542,15 +542,20 @@ def _per_line_lane(durable, lines, origin="c", drain=True):
         if every and durable._ops_since_snapshot >= every:
             skipped += not durable.compact()
 
+    def dispatch(request):
+        out = []
+        durable.gateway.handle_request(request, origin, out)
+        return out
+
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        request = durable._journaled_request(line)
-        if request is None:
-            routed.extend(durable.gateway.handle_line(line, origin))
+        request = decode_line(line)
+        if durable._journaled_request(request) is None:
+            routed.extend(dispatch(request))
         else:
-            journaled(request, lambda: durable.gateway.handle_line(line, origin))
+            journaled(request, lambda: dispatch(request))
     if drain and any(pipeline.pending for pipeline in durable.gateway.registry):
         journaled({"op": "drain", "synthetic": True}, durable.gateway.drain)
     return routed, skipped
@@ -788,16 +793,16 @@ class TestFailStop:
     ):
         durable, _ = recover(tmp_path, snapshot_every=0)
         lines = _recorded_bookkeeping()[:20]
-        real = durable.gateway.handle_line
+        real = durable.gateway.handle_request
         calls = []
 
-        def flaky(line, origin=None):
-            calls.append(line)
+        def flaky(request, origin, routed):
+            calls.append(request)
             if len(calls) == 10:
                 raise RuntimeError("dispatch bug")
-            return real(line, origin)
+            real(request, origin, routed)
 
-        monkeypatch.setattr(durable.gateway, "handle_line", flaky)
+        monkeypatch.setattr(durable.gateway, "handle_request", flaky)
         with pytest.raises(RuntimeError):
             durable.handle_frames([line.encode() for line in lines])
         assert durable.failed is None
